@@ -26,43 +26,15 @@ from .construct import (
 from .criterion import SubgroupInvolution, check_involution, check_permutation
 from .errors import (
     AlgebraError,
-    BaseNotInvolution,
-    CharacteristicDividesD,
-    EvenCharacteristic,
-    EvenQNoSolution,
     FieldTooLarge,
     HasConstantTerm,
-    HValueZero,
-    HypothesisViolated,
     InternalMismatch,
     NotADivisor,
-    NotInSubgroup,
-    NotInvolutionOnSubgroup,
-    NotIrreducible,
-    NotPrime,
-    Overflow,
     ParseError,
-    PreconditionViolated,
-    RSquareCondition,
-    UnknownFamily,
-    WrongFieldShape,
     ZeroPolynomial,
 )
-from .families import (
-    FAMILY_IDS,
-    FamilySpec,
-    gen_conj_symmetric,
-    gen_cor_exm,
-    gen_cor_m4d4,
-    gen_cor_mdq1,
-    gen_cor_qb,
-    gen_geometric,
-    gen_palindromic,
-    gen_reversal,
-    lift_involution,
-    validate,
-)
-from .gf import Field, divisors, make_field, parse_field
+from .families import FAMILIES, FamilySpec, validate
+from .gf import Field, divisors, parse_field
 from .oracle import DEFAULT_CAP, PermReport, sweep
 from .polyring import RhsForm, SparsePoly, decompose, parse_poly
 
@@ -72,18 +44,6 @@ EXIT_NOT_PERMUTATION = 2
 EXIT_PRECONDITION = 3
 EXIT_INPUT = 4
 EXIT_MISMATCH = 5
-
-_PRECONDITION_ERRORS = (
-    PreconditionViolated, HypothesisViolated, RSquareCondition, NotADivisor,
-    WrongFieldShape, EvenQNoSolution, BaseNotInvolution, HValueZero,
-    CharacteristicDividesD, EvenCharacteristic, NotInSubgroup,
-    NotInvolutionOnSubgroup,
-)
-_INPUT_ERRORS = (
-    ParseError, UnknownFamily, NotPrime, NotIrreducible, Overflow,
-    FieldTooLarge, ZeroPolynomial, HasConstantTerm, ValueError,
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors, which collides with
@@ -317,84 +277,22 @@ def _parse_params(text: str) -> dict:
     return out
 
 
-def _family_coeffs(params: dict, prefix: str) -> dict:
-    return {int(k[len(prefix):]): v for k, v in params.items()
-            if k.startswith(prefix) and k[len(prefix):].isdigit()}
-
-
-def _family_generate(fid: str, field: Field, params: dict, args):
-    if fid == "thm-conj-symmetric":
-        rhs = gen_conj_symmetric(field, int(params["r"]), _family_coeffs(params, "h"))
-    elif fid == "cor-qb":
-        rhs = gen_cor_qb(field, int(params["i"]), params["b"])
-    elif fid == "thm-palindromic":
-        rhs = gen_palindromic(field, int(params["q"]), int(params["d"]),
-                              int(params["r"]), _family_coeffs(params, "h"))
-    elif fid == "cor-mdq1":
-        rhs = gen_cor_mdq1(field, params["a"], params["b"])
-    elif fid == "cor-m4d4":
-        rhs = gen_cor_m4d4(field, params["a"], params["b"], params["c"])
-    elif fid == "thm-reversal":
-        out = gen_reversal(field, int(params["r"]), int(params["d"]),
-                           _family_coeffs(params, "a"))
-        return out.rhs, out.rhs.expand()
-    elif fid == "cor-exm":
-        rhs = gen_cor_exm(field, params["a"])
-    elif fid == "thm-geometric":
-        f = gen_geometric(field, int(params["q"]), int(params["d"]),
-                          int(params["m"]), int(params["k"]))
-        return None, f
-    elif fid == "lift":
-        if "h" not in params:
-            raise ParseError("lift needs h=<poly over the base field>")
-        base = _base_field_of(field, int(params["q"]), int(params["m"]))
-        h = parse_poly(base, params["h"])
-        rhs = lift_involution(base, int(params["m"]), int(params["r"]), h, field)
-    else:
-        raise UnknownFamily(f"no family named {fid!r}")
-    return rhs, rhs.expand()
-
-
-def _base_field_of(ext: Field, base_q: int, m: int) -> Field:
-    j, t = 0, base_q
-    while t > 1 and t % ext.p == 0:
-        t //= ext.p
-        j += 1
-    if t != 1 or j == 0 or ext.n != j * m:
-        raise WrongFieldShape(
-            f"field {ext.spec_string()} is not a degree-{m} extension of F_{base_q}")
-    return make_field(ext.p, j)
-
-
-_FAMILY_PARAMS = {
-    "thm-conj-symmetric": "r=<int>, h<i>=<element> for admissible positions i",
-    "cor-qb": "i=<1..q>, b=<element>",
-    "thm-palindromic": "q=<base order>, d=<int>, r=<int>, h<i>=<element>",
-    "cor-mdq1": "a=<element>, b=<element> (both in the base subfield)",
-    "cor-m4d4": "a=<element>, b=<element>, c=<element> (all in the base subfield)",
-    "thm-reversal": "r=<int>, d=<degree>, a<i>=<element>",
-    "cor-exm": "a=<element>",
-    "thm-geometric": "q=<base order>, d=<int>, m=<even extension degree>, k=<int>",
-    "lift": "q=<base order>, m=<int>, r=<int>, h=<poly over the base field>",
-}
-
-
 def cmd_family(args) -> int:
     if args.family_id == "list":
         if args.json:
             doc = {"schema": 1, "families": [
-                {"id": fid, "params": _FAMILY_PARAMS[fid]} for fid in FAMILY_IDS]}
+                {"id": fam.id, "params": fam.params} for fam in FAMILIES.values()]}
             print(json.dumps(doc, sort_keys=True))
         else:
-            for fid in FAMILY_IDS:
-                print(f"{fid}: {_FAMILY_PARAMS[fid]}")
+            for fam in FAMILIES.values():
+                print(f"{fam.id}: {fam.params}")
         return 0
     if args.field is None:
         raise ParseError("family generation needs --field")
     field = parse_field(args.field)
     params = _parse_params(args.params) if args.params else {}
     checks = validate(FamilySpec(args.family_id, field, params))
-    rhs, f = _family_generate(args.family_id, field, params, args)
+    rhs, f = FAMILIES[args.family_id].generate(field, params)
     rep = _analyze(field, f, args, rhs=rhs, label=f"family: {args.family_id}",
                    checks=checks)
     return _emit(rep, args)
@@ -541,16 +439,10 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except InternalMismatch as exc:
-        print(f"error: internal mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except _INPUT_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except AlgebraError as exc:
+        print(f"error: {exc.cli_message()}", file=sys.stderr)
+        return exc.exit_code
+    except ValueError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,16 +1,25 @@
 """Exception types shared across the library.
 
 Every error carries an optional ``witness`` (an element, pair or index that
-demonstrates the failure) so callers and the CLI can report it.
+demonstrates the failure) so callers and the CLI can report it, and an
+``exit_code`` class attribute, the status the command line exits with:
+3 for a failed hypothesis or precondition, 4 for bad input, 5 for an
+internal mismatch.
 """
 
 
 class AlgebraError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 4
+
     def __init__(self, message: str = "", witness=None):
         super().__init__(message)
         self.witness = witness
+
+    def cli_message(self) -> str:
+        """The error as the command line reports it after 'error: '."""
+        return f"{type(self).__name__}: {self}"
 
 
 # -- field construction / arithmetic ----------------------------------------
@@ -33,6 +42,7 @@ class DivisionByZero(AlgebraError, ZeroDivisionError):
 
 class NotADivisor(AlgebraError):
     """Requested subgroup order or exponent step does not divide q - 1."""
+    exit_code = 3
 
 
 class FieldTooLarge(AlgebraError):
@@ -59,36 +69,44 @@ class NotAPermutation(AlgebraError):
 
 class NotInSubgroup(AlgebraError):
     """Argument expected to lie in mu_d does not."""
+    exit_code = 3
 
 
 class RSquareCondition(AlgebraError):
     """The exponent condition r^2 = 1 (mod s) does not hold."""
+    exit_code = 3
 
 
 class NotInvolutionOnSubgroup(AlgebraError):
     """The induced subgroup map is not an involution of mu_d."""
+    exit_code = 3
 
 
 # -- constructions / families ------------------------------------------------
 
 class PreconditionViolated(AlgebraError):
     """A stated parameter condition fails; the message lists which."""
+    exit_code = 3
 
 
 class EvenCharacteristic(AlgebraError):
     """Construction requires odd field cardinality."""
+    exit_code = 3
 
 
 class CharacteristicDividesD(AlgebraError):
     """Closed-form coefficients divide by an integer the characteristic kills."""
+    exit_code = 3
 
 
 class WrongFieldShape(AlgebraError):
     """Field does not have the cardinality shape the construction needs."""
+    exit_code = 3
 
 
 class HValueZero(AlgebraError):
     """h vanishes on the relevant subgroup; witness holds the root."""
+    exit_code = 3
 
 
 class UnknownFamily(AlgebraError):
@@ -97,20 +115,27 @@ class UnknownFamily(AlgebraError):
 
 class HypothesisViolated(AlgebraError):
     """A required hypothesis fails; the message names it, witness shows where."""
+    exit_code = 3
 
 
 class EvenQNoSolution(AlgebraError):
     """No parameter over an even-cardinality field satisfies the condition."""
+    exit_code = 3
 
 
 class BaseNotInvolution(AlgebraError):
     """The base-field map that should be lifted is not an involution."""
+    exit_code = 3
 
 
 # -- cross-checks / CLI ------------------------------------------------------
 
 class InternalMismatch(AlgebraError):
     """Fast criterion and brute-force oracle disagree: an implementation bug."""
+    exit_code = 5
+
+    def cli_message(self) -> str:
+        return f"internal mismatch: {self}"
 
 
 class ParseError(AlgebraError):

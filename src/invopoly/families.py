@@ -7,17 +7,22 @@ returning it.  Families over F_{q^2} work on mu_{q+1}; the palindromic
 family works over F_{q^m} with coefficients from the base subfield; the
 lifting construction turns an involution of a base field into one of an
 extension.
+
+Every family is one ``Family`` entry in ``FAMILIES`` at the end of this
+module: its id, parameter help, parameter parsing, validator and
+generator.  ``validate`` and the command line read only that registry, so
+adding a family means adding one entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from math import gcd
+from typing import Callable
 
 from .criterion import check_involution
 from .errors import (
     BaseNotInvolution,
-    EvenCharacteristic,
     EvenQNoSolution,
     HValueZero,
     HypothesisViolated,
@@ -30,19 +35,7 @@ from .errors import (
 )
 from .gf import Element, Field, make_field, subfield_embedding
 from .oracle import _check_table
-from .polyring import RhsForm, SparsePoly
-
-FAMILY_IDS = (
-    "thm-conj-symmetric",
-    "cor-qb",
-    "thm-palindromic",
-    "cor-mdq1",
-    "cor-m4d4",
-    "thm-reversal",
-    "cor-exm",
-    "thm-geometric",
-    "lift",
-)
+from .polyring import RhsForm, SparsePoly, parse_poly
 
 
 @dataclass(frozen=True)
@@ -281,12 +274,14 @@ def gen_palindromic(ext: Field, base_q: int, d: int, r: int, coeffs: dict) -> Rh
     return rhs
 
 
-def _mdq1_shape(ext: Field):
+def _mdq1_args(ext: Field, a, b) -> tuple:
+    """The palindromic arguments (q, d, r, coeffs) of cor-mdq1."""
     if ext.p != 2:
         raise WrongFieldShape("this family needs characteristic 2")
     for k in range(2, ext.n + 1):
         if k * (2**k - 1) == ext.n:
-            return 2**k
+            q = 2**k
+            return q, q - 1, (ext.q - 1) // (q - 1) - 1, {0: b, q - 3: b, q - 2: a}
     raise WrongFieldShape(
         f"degree {ext.n} is not k*(2^k - 1) for any k >= 2")
 
@@ -294,23 +289,30 @@ def _mdq1_shape(ext: Field):
 def gen_cor_mdq1(ext: Field, a, b) -> RhsForm:
     """h = a x^{q-2} + b x^{q-3} + b over F_{q^{q-1}}, q = 2^k, with
     r = s - 1: the palindromic family at m = d = q - 1."""
-    q = _mdq1_shape(ext)
-    d = q - 1
-    s = (ext.q - 1) // d
-    return gen_palindromic(ext, q, d, s - 1, {0: b, q - 3: b, q - 2: a})
+    return gen_palindromic(ext, *_mdq1_args(ext, a, b))
 
 
-def _m4d4_shape(ext: Field):
+def _m4d4_args(ext: Field, a, b, c) -> tuple:
+    """The palindromic arguments (q, d, r, coeffs) of cor-m4d4."""
     if ext.p != 3 or ext.n % 8:
         raise WrongFieldShape(f"need order 3^(8k), got {ext.p}^{ext.n}")
-    return 3 ** (ext.n // 4)
+    return 3 ** (ext.n // 4), 4, ext.q - 2, {3: a, 2: b, 1: a, 0: c}
+
+
+def _cond_palindromic_case(ext: Field, case_args, *values) -> list[ConditionCheck]:
+    """Checks of a palindromic special case whose arguments come from
+    case_args (_mdq1_args or _m4d4_args)."""
+    try:
+        args = case_args(ext, *values)
+    except WrongFieldShape as exc:
+        return [ConditionCheck("base-field-shape", False, str(exc))]
+    return _cond_palindromic(ext, *args)
 
 
 def gen_cor_m4d4(ext: Field, a, b, c) -> RhsForm:
     """h = a x^3 + b x^2 + a x + c over F_{q^4}, q = 3^{2k}, with
     r = q^4 - 2: the palindromic family at m = d = 4."""
-    q = _m4d4_shape(ext)
-    return gen_palindromic(ext, q, 4, ext.q - 2, {3: a, 2: b, 1: a, 0: c})
+    return gen_palindromic(ext, *_m4d4_args(ext, a, b, c))
 
 
 # -- reversal family over F_{q^2} -------------------------------------------
@@ -392,6 +394,25 @@ def cor_exm_gcd_verdict(ext: Field, a) -> bool:
     return (-(a ** (q - 1))) ** ((q + 1) // g) != ext.one()
 
 
+def _cond_cor_exm(ext: Field, a) -> list[ConditionCheck]:
+    try:
+        q = _split_square(ext)
+    except WrongFieldShape as exc:
+        return [ConditionCheck("field-is-quadratic-extension", False, str(exc))]
+    checks = [ConditionCheck("field-is-quadratic-extension", True, f"base order {q}")]
+    if ext.p == 2:
+        checks.append(ConditionCheck("admissible-a-exists", False,
+                                     "no choice of a works in even characteristic"))
+        return checks
+    a = ext.element(a)
+    checks.append(ConditionCheck("a-nonzero", not a.is_zero))
+    if a.is_zero:
+        return checks
+    checks.append(ConditionCheck("residue-class-test", cor_exm_case_verdict(ext, a),
+                                 f"q = {q} mod 8 is {q % 8}"))
+    return checks
+
+
 def gen_cor_exm(ext: Field, a) -> RhsForm:
     """f = a x^{q^2-3q+1} + a^q x^{q-2}, the reversal family with
     h = a x^{q-3} + a^q; both admissibility tests must agree."""
@@ -464,6 +485,24 @@ def gen_geometric(ext: Field, base_q: int, d: int, m: int, k: int) -> SparsePoly
 
 # -- subfield lifting ---------------------------------------------------------
 
+def _cond_lift(ext: Field, base_q: int, m: int, r: int) -> list[ConditionCheck]:
+    try:
+        j = _base_degree(base_q, ext.p)
+    except WrongFieldShape as exc:
+        return [ConditionCheck("base-field-shape", False, str(exc))]
+    shape_ok = ext.n == j * m
+    checks = [ConditionCheck("base-field-shape", shape_ok,
+                             f"field degree {ext.n} vs {j}*{m}")]
+    if not shape_ok:
+        return checks
+    checks.append(ConditionCheck("m-coprime-to-group-order", gcd(base_q - 1, m) == 1,
+                                 f"gcd({base_q - 1}, {m})"))
+    s = (base_q**m - 1) // (base_q - 1)
+    checks.append(ConditionCheck("r-squared-is-one", (r * r - 1) % s == 0,
+                                 f"r = {r}, s = {s}"))
+    return checks
+
+
 def lift_involution(base: Field, m: int, r: int, h: SparsePoly,
                     ext: Field | None = None) -> RhsForm:
     """Lift g = x^r * h(x)^m, an involution of the base field, to the
@@ -517,13 +556,13 @@ def check_iff_subgroup(rhs: RhsForm) -> bool:
     return all(mapping[mapping[i]] == i for i in range(d))
 
 
-# -- uniform validation front end -------------------------------------------
+# -- the family registry ----------------------------------------------------
 
-def _need(params: dict, *names):
-    missing = [n for n in names if n not in params]
-    if missing:
-        raise ParseError(f"missing parameters: {', '.join(missing)}")
-    return [params[n] for n in names]
+def _int_param(params: dict, name: str) -> int:
+    try:
+        return int(params[name])
+    except ValueError:
+        raise ParseError(f"parameter {name} must be an integer, got {params[name]!r}") from None
 
 
 def _coeff_map(params: dict, prefix: str) -> dict:
@@ -534,76 +573,85 @@ def _coeff_map(params: dict, prefix: str) -> dict:
     return out
 
 
+def _build_lift(ext: Field, base_q: int, m: int, r: int, h: str | None) -> RhsForm:
+    if h is None:
+        raise ParseError("lift needs h=<poly over the base field>")
+    if not _cond_lift(ext, base_q, m, r)[0].ok:
+        raise WrongFieldShape(
+            f"field {ext.spec_string()} is not a degree-{m} extension of F_{base_q}")
+    base = make_field(ext.p, ext.n // m)
+    return lift_involution(base, m, r, parse_poly(base, h), ext)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One named family.  Its key=value parameters become positional
+    arguments in this order: ``ints`` as integers, ``elements`` and
+    ``optional`` as text (None when an optional one is absent), then the
+    ``coeffs``<i> entries as a position -> text map.  ``check`` and
+    ``build`` take the field followed by those arguments; ``build`` returns
+    an RhsForm, or a SparsePoly for a family without one."""
+
+    id: str
+    params: str
+    check: Callable[..., list[ConditionCheck]]
+    build: Callable[..., RhsForm | SparsePoly]
+    ints: tuple[str, ...] = ()
+    elements: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    coeffs: str | None = None
+
+    def args(self, params: dict) -> list:
+        missing = [k for k in self.ints + self.elements if k not in params]
+        if missing:
+            raise ParseError(f"missing parameters: {', '.join(missing)}")
+        args = [_int_param(params, k) for k in self.ints]
+        args += [params[k] for k in self.elements]
+        args += [params.get(k) for k in self.optional]
+        if self.coeffs:
+            args.append(_coeff_map(params, self.coeffs))
+        return args
+
+    def generate(self, field: Field, params: dict) -> tuple[RhsForm | None, SparsePoly]:
+        """The index form (None if the family has none) and the polynomial."""
+        out = self.build(field, *self.args(params))
+        if isinstance(out, SparsePoly):
+            return None, out
+        return out, out.expand()
+
+
+# The builders call gen_* by module-global name, so that rebinding one (as
+# a call tracer does) reaches the registry too.
+FAMILIES = {fam.id: fam for fam in (
+    Family("thm-conj-symmetric", "r=<int>, h<i>=<element> for admissible positions i",
+           _cond_conj_symmetric, lambda *a: gen_conj_symmetric(*a), ints=("r",), coeffs="h"),
+    Family("cor-qb", "i=<1..q>, b=<element>",
+           _cond_cor_qb, lambda *a: gen_cor_qb(*a), ints=("i",), elements=("b",)),
+    Family("thm-palindromic", "q=<base order>, d=<int>, r=<int>, h<i>=<element>",
+           _cond_palindromic, lambda *a: gen_palindromic(*a), ints=("q", "d", "r"), coeffs="h"),
+    Family("cor-mdq1", "a=<element>, b=<element> (both in the base subfield)",
+           lambda f, *v: _cond_palindromic_case(f, _mdq1_args, *v),
+           lambda *a: gen_cor_mdq1(*a), elements=("a", "b")),
+    Family("cor-m4d4", "a=<element>, b=<element>, c=<element> (all in the base subfield)",
+           lambda f, *v: _cond_palindromic_case(f, _m4d4_args, *v),
+           lambda *a: gen_cor_m4d4(*a), elements=("a", "b", "c")),
+    Family("thm-reversal", "r=<int>, d=<degree>, a<i>=<element>",
+           lambda *a: _cond_reversal(*a)[0], lambda *a: gen_reversal(*a).rhs,
+           ints=("r", "d"), coeffs="a"),
+    Family("cor-exm", "a=<element>", _cond_cor_exm, lambda *a: gen_cor_exm(*a),
+           elements=("a",)),
+    Family("thm-geometric", "q=<base order>, d=<int>, m=<even extension degree>, k=<int>",
+           _cond_geometric, lambda *a: gen_geometric(*a), ints=("q", "d", "m", "k")),
+    Family("lift", "q=<base order>, m=<int>, r=<int>, h=<poly over the base field>",
+           lambda f, q, m, r, h: _cond_lift(f, q, m, r), _build_lift,
+           ints=("q", "m", "r"), optional=("h",)),
+)}
+FAMILY_IDS = tuple(FAMILIES)
+
+
 def validate(spec: FamilySpec) -> list[ConditionCheck]:
     """Evaluate every hypothesis of the named family on the parameters."""
-    fid, fld, p = spec.family_id, spec.field, spec.params
-    if fid == "thm-conj-symmetric":
-        (r,) = _need(p, "r")
-        return _cond_conj_symmetric(fld, int(r), _coeff_map(p, "h"))
-    if fid == "cor-qb":
-        i, b = _need(p, "i", "b")
-        return _cond_cor_qb(fld, int(i), b)
-    if fid == "thm-palindromic":
-        q, d, r = _need(p, "q", "d", "r")
-        return _cond_palindromic(fld, int(q), int(d), int(r), _coeff_map(p, "h"))
-    if fid == "cor-mdq1":
-        a, b = _need(p, "a", "b")
-        try:
-            q = _mdq1_shape(fld)
-        except WrongFieldShape as exc:
-            return [ConditionCheck("base-field-shape", False, str(exc))]
-        return _cond_palindromic(fld, q, q - 1, (fld.q - 1) // (q - 1) - 1,
-                                 {0: b, q - 3: b, q - 2: a})
-    if fid == "cor-m4d4":
-        a, b, c = _need(p, "a", "b", "c")
-        try:
-            q = _m4d4_shape(fld)
-        except WrongFieldShape as exc:
-            return [ConditionCheck("base-field-shape", False, str(exc))]
-        return _cond_palindromic(fld, q, 4, fld.q - 2, {3: a, 2: b, 1: a, 0: c})
-    if fid == "thm-reversal":
-        r, d = _need(p, "r", "d")
-        return _cond_reversal(fld, int(r), int(d), _coeff_map(p, "a"))[0]
-    if fid == "cor-exm":
-        (a,) = _need(p, "a")
-        checks = []
-        try:
-            q = _split_square(fld)
-        except WrongFieldShape as exc:
-            return [ConditionCheck("field-is-quadratic-extension", False, str(exc))]
-        checks.append(ConditionCheck("field-is-quadratic-extension", True, f"base order {q}"))
-        if fld.p == 2:
-            checks.append(ConditionCheck("admissible-a-exists", False,
-                                         "no choice of a works in even characteristic"))
-            return checks
-        a_el = fld.element(a)
-        checks.append(ConditionCheck("a-nonzero", not a_el.is_zero))
-        if a_el.is_zero:
-            return checks
-        case = cor_exm_case_verdict(fld, a_el)
-        checks.append(ConditionCheck("residue-class-test", case,
-                                     f"q = {q} mod 8 is {q % 8}"))
-        return checks
-    if fid == "thm-geometric":
-        q, d, m, k = _need(p, "q", "d", "m", "k")
-        return _cond_geometric(fld, int(q), int(d), int(m), int(k))
-    if fid == "lift":
-        q, m, r = _need(p, "q", "m", "r")
-        q, m, r = int(q), int(m), int(r)
-        checks = []
-        try:
-            j = _base_degree(q, fld.p)
-        except WrongFieldShape as exc:
-            return [ConditionCheck("base-field-shape", False, str(exc))]
-        shape_ok = fld.n == j * m
-        checks.append(ConditionCheck("base-field-shape", shape_ok,
-                                     f"field degree {fld.n} vs {j}*{m}"))
-        if not shape_ok:
-            return checks
-        checks.append(ConditionCheck("m-coprime-to-group-order", gcd(q - 1, m) == 1,
-                                     f"gcd({q - 1}, {m})"))
-        s = (q**m - 1) // (q - 1)
-        checks.append(ConditionCheck("r-squared-is-one", (r * r - 1) % s == 0,
-                                     f"r = {r}, s = {s}"))
-        return checks
-    raise UnknownFamily(f"no family named {fid!r}")
+    fam = FAMILIES.get(spec.family_id)
+    if fam is None:
+        raise UnknownFamily(f"no family named {spec.family_id!r}")
+    return fam.check(spec.field, *fam.args(spec.params))

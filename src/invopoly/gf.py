@@ -295,7 +295,7 @@ class Field:
     Build instances through make_field / parse_field, not directly.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "_alpha_enc", "_tab", "_key", "_pow_cache")
+    __slots__ = ("p", "n", "q", "modulus", "_alpha_enc", "_tab", "_key")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
@@ -305,7 +305,6 @@ class Field:
         self._alpha_enc: int | None = None
         self._tab: _Tables | None = None
         self._key = (p, n, modulus)
-        self._pow_cache: dict[int, tuple[int, ...]] | None = None
 
     # -- identity ------------------------------------------------------------
 
@@ -494,10 +493,17 @@ class Field:
     # -- text forms ----------------------------------------------------------
 
     def parse_element(self, text: str) -> Element:
-        """Accepts '0', 'a^k' (power of alpha), 'a', or a decimal encoding."""
+        """Accepts '0', 'a^k' (power of alpha), 'a', a decimal encoding, or a
+        coefficient vector 'c0,c1,...' (constant term first)."""
         t = text.strip()
         if not t:
             raise ParseError("empty element literal")
+        if "," in t:
+            try:
+                coeffs = [int(c) for c in t.split(",")]
+            except ValueError:
+                raise ParseError(f"bad element literal {text!r}") from None
+            return self.element(coeffs)
         if t == "0":
             return self.zero()
         if t == "a":
@@ -524,8 +530,9 @@ def make_field(p: int, n: int = 1, modulus: Sequence[int] | None = None) -> Fiel
         raise NotPrime(f"{p} is not prime")
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"degree must be a positive integer, got {n}")
-    q = p**n
-    if q > ENCODING_LIMIT:
+    # bound q by n * log2(p), with a margin for rounding, before computing
+    # p**n, which could take minutes
+    if n * math.log2(p) > math.log2(ENCODING_LIMIT) + 1 or p**n > ENCODING_LIMIT:
         raise Overflow(f"q = {p}^{n} exceeds the {ENCODING_LIMIT} encoding limit")
     if modulus is None:
         mod = _smallest_irreducible(p, n)
@@ -566,6 +573,9 @@ def parse_field(text: str) -> Field:
         raise ParseError(f"bad field spec {text!r}")
     p = int(m.group(1))
     n = int(m.group(2)) if m.group(2) else 1
+    if p > ENCODING_LIMIT:
+        # no field this large is built, and factorizing p could take minutes
+        raise Overflow(f"q = {p}^{n} exceeds the {ENCODING_LIMIT} encoding limit")
     if p >= 2 and not _is_prime(p):
         fac = factorize(p)
         if len(fac) == 1:

@@ -2,11 +2,16 @@
 JSON documents, and the exit code contract."""
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import shutil
 import subprocess
 import sys
+
+import pytest
+
+from invopoly import errors
 
 ENV = dict(os.environ)
 ENV["PYTHONPATH"] = os.pathsep.join(
@@ -111,6 +116,10 @@ def test_family_list_and_generate():
                      "--params", "r=19,h1=1")
     assert rc == 0
     assert "check h-nonzero-on-mu: pass" in out
+    # b given as a coefficient vector, constant term first
+    rc, _, err = run("family", "cor-qb", "--field", "5^2", "--params", "i=1,b=1,2")
+    assert rc in (0, 3)
+    assert "ParseError" not in err
 
 
 def test_family_exit_codes():
@@ -178,6 +187,10 @@ def test_input_error_exit_codes():
     assert rc == 4
     rc, _, err = run("family", "lift", "--field", "3^6", "--params", "q=9,m=3,r=90")
     assert rc == 4
+    rc, _, err = run("family", "thm-geometric", "--field", "3^8",
+                     "--params", "q=x,d=5,m=4,k=4")
+    assert rc == 4
+    assert "ParseError: parameter q must be an integer" in err
 
 
 def test_precondition_exit_codes():
@@ -189,6 +202,30 @@ def test_precondition_exit_codes():
                      "--params", "q=9,m=3,r=2,h=x")
     assert rc == 3
     assert "RSquareCondition" in err
+
+
+PRECONDITION_ERRORS = {
+    "PreconditionViolated", "HypothesisViolated", "RSquareCondition", "NotADivisor",
+    "WrongFieldShape", "EvenQNoSolution", "BaseNotInvolution", "HValueZero",
+    "CharacteristicDividesD", "EvenCharacteristic", "NotInSubgroup",
+    "NotInvolutionOnSubgroup",
+}
+ERROR_CLASSES = sorted(
+    (cls for cls in vars(errors).values()
+     if inspect.isclass(cls) and issubclass(cls, errors.AlgebraError)
+     and cls is not errors.AlgebraError),
+    key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_exit_code(cls):
+    if cls is errors.InternalMismatch:
+        expected = 5
+    elif cls.__name__ in PRECONDITION_ERRORS:
+        expected = 3
+    else:
+        expected = 4
+    assert cls.exit_code == expected
 
 
 def test_console_script_installed():

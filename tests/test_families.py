@@ -20,6 +20,7 @@ from invopoly.errors import (
     WrongFieldShape,
 )
 from invopoly.families import (
+    FAMILIES,
     FAMILY_IDS,
     FamilySpec,
     _cond_cor_qb,
@@ -446,12 +447,15 @@ def test_validate_each_family(f25, f64, f9, f3_8, f3_6):
         ("thm-reversal", f9, {"r": "1", "d": "4", "a0": "1"}),
         ("cor-exm", f25, {"a": "2"}),
         ("thm-geometric", f3_8, {"q": "9", "d": "5", "m": "4", "k": "4"}),
-        ("lift", f3_6, {"q": "9", "m": "3", "r": "90"}),
+        ("lift", f3_6, {"q": "9", "m": "3", "r": "90", "h": "x"}),
     ]
     assert [fid for fid, _, _ in cases] == list(FAMILY_IDS)
     for fid, fld, params in cases:
         checks = validate(FamilySpec(fid, fld, params))
         assert checks and all(c.ok for c in checks), fid
+        rhs, f = FAMILIES[fid].generate(fld, params)
+        assert rhs is None or rhs.expand() == f, fid
+        assert _is_involution(f), fid
 
 
 def test_validate_reports_failures(f25, f7):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -151,7 +152,7 @@ def test_subgroup_structure(f7, f64):
     assert omega64 == f64.pow_alpha(21)
 
 
-def test_element_str_and_parse(f64, f7):
+def test_element_str_and_parse(f64, f7, f25):
     assert str(f64.zero()) == "0"
     assert str(f64.pow_alpha(5)) == "a^5"
     assert str(f7.element(4)) == "4"
@@ -162,6 +163,12 @@ def test_element_str_and_parse(f64, f7):
         f64.parse_element("b^2")
     with pytest.raises(ParseError):
         f7.parse_element("")
+    # coefficient vectors, constant term first
+    assert f25.parse_element("1,2") == f25.element((1, 2))
+    assert f25.parse_element(" 0,1 ").enc == 5
+    for text in ("1,2,0", "1,", "1,x"):
+        with pytest.raises(ParseError):
+            f25.parse_element(text)
 
 
 def test_make_field_errors():
@@ -186,6 +193,17 @@ def test_parse_field_spec_strings(f64, f9):
         parse_field("abc")
     with pytest.raises(NotPrime):
         parse_field("12")  # 12 = 2^2 * 3 is not a prime power
+
+
+@pytest.mark.parametrize("spec", [
+    "7^300000000",           # p**n alone would take seconds
+    "1000000016000000063",   # two ~1e9 prime factors: trial division is slow
+])
+def test_oversized_field_spec_rejected_fast(spec):
+    start = time.perf_counter()
+    with pytest.raises(Overflow):
+        parse_field(spec)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_custom_modulus_accepted():
