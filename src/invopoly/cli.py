@@ -299,6 +299,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.sample < 0 or args.exhaustive_limit < 0:
+        raise ParseError("--sample and --exhaustive-limit must be non-negative")
     field = parse_field(args.field)
     q = field.q
     if q > args.max_q:

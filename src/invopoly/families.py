@@ -27,6 +27,7 @@ from .errors import (
     HValueZero,
     HypothesisViolated,
     InternalMismatch,
+    Overflow,
     ParseError,
     PreconditionViolated,
     RSquareCondition,
@@ -36,6 +37,8 @@ from .errors import (
 from .gf import Element, Field, make_field, subfield_embedding
 from .oracle import _check_table
 from .polyring import RhsForm, SparsePoly, parse_poly
+
+GEOMETRIC_K_LIMIT = 1 << 12   # the geometric family builds k terms
 
 
 @dataclass(frozen=True)
@@ -472,6 +475,8 @@ def _cond_geometric(ext: Field, base_q: int, d: int, m: int, k: int) -> list[Con
 def gen_geometric(ext: Field, base_q: int, d: int, m: int, k: int) -> SparsePoly:
     """f = x(1 + x^s + ... + x^{(k-1)s}) on the even extension F_{q^m},
     with s = (q^m - 1)/d and q = -1 mod d."""
+    if k > GEOMETRIC_K_LIMIT:
+        raise Overflow(f"k = {k} exceeds the geometric family's limit of {GEOMETRIC_K_LIMIT}")
     checks = _cond_geometric(ext, base_q, d, m, k)
     _gate(checks)
     s = (ext.q - 1) // d

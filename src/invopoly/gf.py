@@ -6,17 +6,24 @@ smallest one is chosen (coefficient list compared from the constant term
 upward), so construction is fully deterministic and results are
 reproducible from the (p, n) pair alone.
 
-Elements are length-n coefficient vectors; the integer encoding of an
-element is sum(c_i * p**i).  The cached primitive element alpha is the
-element of smallest encoding whose multiplicative order is q - 1.  For
-q up to TABLE_LIMIT, exp/log tables are built lazily and all multiplicative
-work goes through them; the generic vector arithmetic gives identical
-results above that bound.
+An element is its integer encoding sum(c_i * p**i) of the coefficient
+vector (c_0, ..., c_{n-1}); Element wraps one encoding, and the vector is
+computed only when asked for.  Each field does its arithmetic on
+encodings through one kernel (add, mul and pow; neg multiplies by -1)
+picked when the field is made: integer arithmetic mod p for prime fields,
+carry-less multiply for characteristic 2, digit-wise arithmetic for odd
+extensions.  For q up
+to TABLE_LIMIT the field also builds exp/log tables of the cached
+primitive element alpha (the element of smallest encoding whose order is
+q - 1), and mul and pow become table lookups; odd extensions then add by
+Zech logarithms.  Above TABLE_LIMIT the table-free kernel serves every
+operation and gives identical results.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from typing import Iterator, Sequence
 
@@ -31,7 +38,7 @@ from .errors import (
 )
 
 ENCODING_LIMIT = 1 << 31   # fields with q above this are rejected outright
-TABLE_LIMIT = 1 << 16      # exp/log tables are built lazily up to this q
+TABLE_LIMIT = 1 << 16      # fields up to this q get exp/log tables
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -86,7 +93,103 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-# -- dense Z_p[x] helpers used only for modulus search -----------------------
+# -- arithmetic kernels on encodings -------------------------------------------
+
+def _kernel(p: int, n: int, modulus: tuple[int, ...]):
+    """(add, mul, pow) on encodings mod a monic modulus, without tables;
+    pow takes a nonzero base and an exponent in [0, q-1)."""
+    if n == 1:
+        return _prime_kernel(p)
+    if p == 2:
+        return _char2_kernel(n, modulus)
+    return _odd_extension_kernel(p, n, modulus)
+
+
+def _digits(enc: int, p: int, n: int) -> list[int]:
+    """The n coefficients of an encoding, constant term first."""
+    out = []
+    for _ in range(n):
+        enc, c = divmod(enc, p)
+        out.append(c)
+    return out
+
+
+def _pow_by_squaring(mul):
+    def pow_(a: int, e: int) -> int:
+        r = 1
+        while e:
+            if e & 1:
+                r = mul(r, a)
+            a = mul(a, a)
+            e >>= 1
+        return r
+    return pow_
+
+
+def _prime_kernel(p: int):
+    return lambda a, b: (a + b) % p, lambda a, b: a * b % p, lambda a, e: pow(a, e, p)
+
+
+def _char2_kernel(n: int, modulus: tuple[int, ...]):
+    mask = sum(1 << i for i, c in enumerate(modulus) if c)
+    top = 1 << n
+
+    def mul(a: int, b: int) -> int:
+        # carry-less multiply, reducing by the modulus bitmask as a shifts
+        r = 0
+        while b:
+            if b & 1:
+                r ^= a
+            b >>= 1
+            a <<= 1
+            if a & top:
+                a ^= mask
+        return r
+
+    return operator.xor, mul, _pow_by_squaring(mul)
+
+
+def _odd_extension_kernel(p: int, n: int, modulus: tuple[int, ...]):
+    low = [(j, c) for j, c in enumerate(modulus[:-1]) if c]
+    width = 2 * n - 1
+
+    def add(a: int, b: int) -> int:
+        r, place = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            r += (x + y) % p * place
+            place *= p
+        return r
+
+    def mul(a: int, b: int) -> int:
+        digits = []
+        while b:
+            b, y = divmod(b, p)
+            digits.append(y)
+        prod = [0] * width
+        i = 0
+        while a:
+            a, x = divmod(a, p)
+            if x:
+                for j, y in enumerate(digits, i):
+                    prod[j] += x * y
+            i += 1
+        # x^k = x^(k-n) * (x^n - modulus) for k >= n, top degree first
+        for k in range(width - 1, n - 1, -1):
+            c = prod[k] % p
+            if c:
+                for j, m in low:
+                    prod[k - n + j] -= c * m
+        r = 0
+        for k in range(n - 1, -1, -1):
+            r = r * p + prod[k] % p
+        return r
+
+    return add, mul, _pow_by_squaring(mul)
+
+
+# -- modulus search ----------------------------------------------------------
 # Polynomials are int lists, constant term first, trailing zeros trimmed.
 
 def _zp_trim(a: list[int]) -> list[int]:
@@ -108,28 +211,6 @@ def _zp_mod(a: list[int], f: list[int], p: int) -> list[int]:
     return _zp_trim(a)
 
 
-def _zp_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    return _zp_mod([c % p for c in prod], f, p)
-
-
-def _zp_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _zp_mod(a, f, p)
-    while e:
-        if e & 1:
-            result = _zp_mulmod(result, base, f, p)
-        base = _zp_mulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
 def _zp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _zp_trim(list(a)), _zp_trim(list(b))
     while b:
@@ -141,17 +222,19 @@ def _zp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 def _zp_is_irreducible(f: Sequence[int], p: int) -> bool:
     """Monic f of degree n is irreducible iff gcd(f, x^{p^k} - x) = 1
-    for every k <= n/2 (catches any factor of degree at most n/2)."""
-    f = list(f)
+    for every k <= n/2 (catches any factor of degree at most n/2).  The
+    kernel takes the powers of x mod f, which needs f monic, not irreducible."""
+    f = tuple(f)
     n = len(f) - 1
     if n == 1:
         return True
     if f[0] % p == 0:
         return False
-    t = [0, 1]
+    pow_ = _kernel(p, n, f)[2]
+    t = p   # the encoding of x
     for _ in range(n // 2):
-        t = _zp_powmod(t, p, f, p)
-        u = list(t) + [0, 0]
+        t = pow_(t, p)
+        u = _digits(t, p, n)
         u[1] = (u[1] - 1) % p
         if len(_zp_gcd(f, u, p)) > 1:
             return False
@@ -163,39 +246,29 @@ def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
         return (0, 1)
     top = p**n
     for m in range(p ** (n - 1), top):   # first base-p digit (= constant term) nonzero
-        coeffs = []
-        rest = m
-        for i in range(n - 1, -1, -1):
-            coeffs.append(rest // p**i)
-            rest %= p**i
-        coeffs.append(1)
+        coeffs = _digits(m, p, n)[::-1] + [1]
         if _zp_is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise NotIrreducible(f"no monic irreducible of degree {n} over Z_{p}")  # pragma: no cover
 
 
-class _Tables:
-    __slots__ = ("exp", "log", "vec")
-
-    def __init__(self, exp: list[int], log: list[int], vec: list[tuple[int, ...]] | None):
-        self.exp = exp
-        self.log = log
-        self.vec = vec
-
-
 class Element:
-    """An element of a Field: an immutable coefficient vector with its encoding."""
+    """An element of a Field, held as its integer encoding."""
 
-    __slots__ = ("field", "coeffs", "enc")
+    __slots__ = ("field", "enc")
 
-    def __init__(self, field: Field, coeffs: tuple[int, ...], enc: int):
+    def __init__(self, field: Field, enc: int):
         self.field = field
-        self.coeffs = coeffs
         self.enc = enc
 
     @property
     def encoding(self) -> int:
         return self.enc
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Coefficient vector in the polynomial basis, constant term first."""
+        return tuple(_digits(self.enc, self.field.p, self.field.n))
 
     @property
     def is_zero(self) -> bool:
@@ -219,15 +292,11 @@ class Element:
     def __add__(self, other: Element) -> Element:
         self._same_field(other)
         f = self.field
-        if f.p == 2:
-            return f._from_enc(self.enc ^ other.enc)
-        return f._from_vec(tuple((a + b) % f.p for a, b in zip(self.coeffs, other.coeffs)))
+        return Element(f, f.add(self.enc, other.enc))
 
     def __neg__(self) -> Element:
         f = self.field
-        if f.p == 2:
-            return self
-        return f._from_vec(tuple(-a % f.p for a in self.coeffs))
+        return Element(f, f.neg(self.enc))
 
     def __sub__(self, other: Element) -> Element:
         return self + (-other)
@@ -235,48 +304,19 @@ class Element:
     def __mul__(self, other: Element) -> Element:
         self._same_field(other)
         f = self.field
-        a, b = self.enc, other.enc
-        if a == 0 or b == 0:
-            return f.zero()
-        tab = f._tables()
-        if tab is not None:
-            return f._from_enc(tab.exp[(tab.log[a] + tab.log[b]) % (f.q - 1)])
-        if f.p == 2:
-            return f._from_enc(f._mul2(a, b))
-        return f._from_vec(f._vec_mul(self.coeffs, other.coeffs))
+        return Element(f, f.mul(self.enc, other.enc))
 
     def inverse(self) -> Element:
         if self.enc == 0:
             raise DivisionByZero("zero has no inverse")
-        f = self.field
-        tab = f._tables()
-        if tab is not None:
-            return f._from_enc(tab.exp[(f.q - 1 - tab.log[self.enc]) % (f.q - 1)])
-        return self ** (f.q - 2)
+        return self ** -1
 
     def __truediv__(self, other: Element) -> Element:
         return self * other.inverse()
 
     def __pow__(self, e: int) -> Element:
         f = self.field
-        if self.enc == 0:
-            if e < 0:
-                raise DivisionByZero("negative power of zero")
-            return f.one() if e == 0 else self
-        e %= f.q - 1 if f.q > 2 else 1
-        if e == 0:
-            return f.one()
-        tab = f._tables()
-        if tab is not None:
-            return f._from_enc(tab.exp[tab.log[self.enc] * e % (f.q - 1)])
-        result = f.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return Element(f, f.pow(self.enc, e))
 
     def __str__(self) -> str:
         if self.enc == 0:
@@ -292,19 +332,61 @@ class Element:
 class Field:
     """F_{p^n} in the polynomial basis modulo a monic irreducible.
 
-    Build instances through make_field / parse_field, not directly.
+    add, neg, mul and pow act on encodings; Element is the user-facing
+    wrapper around them.  Build instances through make_field /
+    parse_field, not directly.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "_alpha_enc", "_tab", "_key")
+    __slots__ = ("p", "n", "q", "modulus", "_alpha_enc", "_key",
+                 "add", "mul", "_pow", "_exp", "_log")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
         self.n = n
         self.q = p**n
         self.modulus = modulus
-        self._alpha_enc: int | None = None
-        self._tab: _Tables | None = None
         self._key = (p, n, modulus)
+        self.add, self.mul, self._pow = _kernel(p, n, modulus)
+        self._exp = self._log = None
+        self._alpha_enc = _find_primitive(self)
+        if self.q <= TABLE_LIMIT:
+            self._use_tables()
+
+    def _use_tables(self) -> None:
+        """Walk the powers of alpha once to fill exp/log, then switch mul
+        and pow (and, in odd extensions, add) to table lookups."""
+        q, p = self.q, self.p
+        qm1 = q - 1
+        exp = [0] * qm1
+        log = [-1] * q
+        cur, direct_mul, alpha = 1, self.mul, self._alpha_enc
+        for i in range(qm1):
+            exp[i] = cur
+            log[cur] = i
+            cur = direct_mul(cur, alpha)
+        self._exp, self._log = exp, log
+
+        def mul(a: int, b: int) -> int:
+            return exp[(log[a] + log[b]) % qm1] if a and b else 0
+
+        self.mul = mul
+        self._pow = lambda a, e: exp[log[a] * e % qm1]
+        if p == 2 or self.n == 1:
+            return
+        # Zech logarithms: 1 + alpha^k = alpha^zech[k], or 0 where zech[k]
+        # is -1; adding 1 only changes the constant digit of an encoding
+        zech = [log[y + 1 if y % p != p - 1 else y + 1 - p] for y in exp]
+
+        def add(a: int, b: int) -> int:
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            z = zech[(log[b] - la) % qm1]
+            return exp[(la + z) % qm1] if z >= 0 else 0
+
+        self.add = add
 
     # -- identity ------------------------------------------------------------
 
@@ -316,6 +398,10 @@ class Field:
     def __hash__(self) -> int:
         return hash(self._key)
 
+    def __reduce__(self):
+        # the kernel is closures, which pickle cannot store; rebuild instead
+        return Field, self._key
+
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.n})" if self.n > 1 else f"GF({self.p})"
 
@@ -324,20 +410,6 @@ class Field:
         return f"{self.p}^{self.n}/" + ",".join(str(c) for c in self.modulus)
 
     # -- element construction ------------------------------------------------
-
-    def _from_enc(self, enc: int) -> Element:
-        rest = enc
-        coeffs = []
-        for _ in range(self.n):
-            rest, c = divmod(rest, self.p)
-            coeffs.append(c)
-        return Element(self, tuple(coeffs), enc)
-
-    def _from_vec(self, coeffs: tuple[int, ...]) -> Element:
-        enc = 0
-        for c in reversed(coeffs):
-            enc = enc * self.p + c
-        return Element(self, coeffs, enc)
 
     def element(self, value: int | str | Sequence[int] | Element) -> Element:
         """Coerce an encoding, text form or coefficient vector to an Element."""
@@ -350,25 +422,28 @@ class Field:
         if isinstance(value, int):
             if not 0 <= value < self.q:
                 raise ParseError(f"encoding {value} out of range for q={self.q}")
-            return self._from_enc(value)
-        coeffs = tuple(int(c) % self.p for c in value)
+            return Element(self, value)
+        coeffs = [int(c) % self.p for c in value]
         if len(coeffs) != self.n:
             raise ParseError(f"expected {self.n} coefficients, got {len(coeffs)}")
-        return self._from_vec(coeffs)
+        enc = 0
+        for c in reversed(coeffs):
+            enc = enc * self.p + c
+        return Element(self, enc)
 
     def zero(self) -> Element:
-        return self._from_enc(0)
+        return Element(self, 0)
 
     def one(self) -> Element:
-        return self._from_enc(1)
+        return Element(self, 1)
 
     def scalar(self, k: int) -> Element:
         """Image of the integer k under Z -> F_q (k times the identity)."""
-        return self._from_vec((k % self.p,) + (0,) * (self.n - 1))
+        return Element(self, k % self.p)
 
     @property
     def alpha(self) -> Element:
-        return self._from_enc(self._alpha_enc)
+        return Element(self, self._alpha_enc)
 
     def pow_alpha(self, k: int) -> Element:
         return self.alpha ** k
@@ -376,85 +451,44 @@ class Field:
     def elements(self) -> Iterator[Element]:
         """All q elements in ascending encoding order."""
         for enc in range(self.q):
-            yield self._from_enc(enc)
+            yield Element(self, enc)
 
-    # -- raw arithmetic ------------------------------------------------------
+    # -- arithmetic on encodings ---------------------------------------------
 
-    def _mul2(self, a: int, b: int) -> int:
-        # carry-less multiply mod the modulus bitmask, characteristic 2 only
-        mask = 0
-        for i, c in enumerate(self.modulus):
-            if c:
-                mask |= 1 << i
-        top = 1 << self.n
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= mask
-        return r
+    def neg(self, a: int) -> int:
+        return self.mul(a, self.p - 1)
 
-    def _vec_mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        p, n, mod = self.p, self.n, self.modulus
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        for k in range(2 * n - 2, n - 1, -1):
-            c = prod[k] % p
-            if c:
-                for j in range(n):
-                    prod[k - n + j] -= c * mod[j]
-        return tuple(prod[j] % p for j in range(n))
+    def pow(self, a: int, e: int) -> int:
+        """a^e on encodings; a negative e inverts a first."""
+        if a == 0:
+            if e < 0:
+                raise DivisionByZero("negative power of zero")
+            return 1 if e == 0 else 0
+        return self._pow(a, e % (self.q - 1))
 
-    def _vec_pow(self, v: tuple[int, ...], e: int) -> tuple[int, ...]:
-        result = (1,) + (0,) * (self.n - 1)
-        base = v
-        while e:
-            if e & 1:
-                result = self._vec_mul(result, base)
-            base = self._vec_mul(base, base)
-            e >>= 1
-        return result
-
-    def _tables(self) -> _Tables | None:
-        if self.q > TABLE_LIMIT or self._alpha_enc is None:
-            return None
-        if self._tab is None:
-            q, p = self.q, self.p
-            exp = [0] * (q - 1)
-            log = [-1] * q
-            if p == 2:
-                cur, a = 1, self._alpha_enc
-                for i in range(q - 1):
-                    exp[i] = cur
-                    log[cur] = i
-                    cur = self._mul2(cur, a)
-                vec = None
-            elif self.n == 1:
-                cur, a = 1, self._alpha_enc
-                for i in range(q - 1):
-                    exp[i] = cur
-                    log[cur] = i
-                    cur = cur * a % p
-                vec = None
-            else:
-                cur = (1,) + (0,) * (self.n - 1)
-                avec = self._from_enc(self._alpha_enc).coeffs
-                for i in range(q - 1):
-                    enc = 0
-                    for c in reversed(cur):
-                        enc = enc * p + c
-                    exp[i] = enc
-                    log[enc] = i
-                    cur = self._vec_mul(cur, avec)
-                vec = [self._from_enc(e).coeffs for e in range(q)]
-            self._tab = _Tables(exp, log, vec)
-        return self._tab
+    def term_values(self, c: int, e: int) -> list[int]:
+        """Encodings of c * x^e for every x, indexed by the encoding of x
+        (x^0 is 1 everywhere, x = 0 included)."""
+        q = self.q
+        if e == 0 or c == 0:
+            return [c] * q
+        qm1 = q - 1
+        if self._log is not None:
+            exp, log = self._exp, self._log
+            lc = log[c]
+            out = [exp[(k * e + lc) % qm1] for k in log]
+        else:
+            # x runs over the powers of alpha, and c * x^e with it
+            out = [0] * q
+            mul, alpha = self.mul, self._alpha_enc
+            step = self.pow(alpha, e)
+            x, v = 1, c
+            for _ in range(qm1):
+                out[x] = v
+                x = mul(x, alpha)
+                v = mul(v, step)
+        out[0] = 0
+        return out
 
     # -- multiplicative structure --------------------------------------------
 
@@ -462,33 +496,35 @@ class Field:
         """k in [0, q-1) with alpha^k = x; baby-step giant-step off-table."""
         if x.is_zero:
             raise DivisionByZero("discrete log of zero")
-        tab = self._tables()
-        if tab is not None:
-            return tab.log[x.enc]
+        if self._log is not None:
+            return self._log[x.enc]
+        mul, alpha = self.mul, self._alpha_enc
         m = math.isqrt(self.q - 2) + 1
         baby: dict[int, int] = {}
-        cur = self.one()
+        cur = 1
         for j in range(m):
-            baby.setdefault(cur.enc, j)
-            cur = cur * self.alpha
-        giant = self.alpha ** (-m)
-        cur = x
+            baby.setdefault(cur, j)
+            cur = mul(cur, alpha)
+        giant = self.pow(alpha, -m)
+        cur = x.enc
         for i in range(m + 1):
-            j = baby.get(cur.enc)
+            j = baby.get(cur)
             if j is not None:
                 return (i * m + j) % (self.q - 1)
-            cur = cur * giant
+            cur = mul(cur, giant)
         raise AssertionError("unreachable: alpha generates the unit group")  # pragma: no cover
 
     def subgroup(self, d: int) -> tuple[Element, list[Element]]:
         """Generator omega = alpha^{(q-1)/d} and [omega^0, ..., omega^{d-1}]."""
         if d < 1 or (self.q - 1) % d:
             raise NotADivisor(f"{d} does not divide q-1 = {self.q - 1}")
-        omega = self.alpha ** ((self.q - 1) // d)
-        elems = [self.one()]
+        omega = self.pow(self._alpha_enc, (self.q - 1) // d)
+        elems = [Element(self, 1)]
+        cur = 1
         for _ in range(d - 1):
-            elems.append(elems[-1] * omega)
-        return omega, elems
+            cur = self.mul(cur, omega)
+            elems.append(Element(self, cur))
+        return Element(self, omega), elems
 
     # -- text forms ----------------------------------------------------------
 
@@ -520,7 +556,7 @@ class Field:
             raise ParseError(f"bad element literal {text!r}") from None
         if not 0 <= enc < self.q:
             raise ParseError(f"encoding {enc} out of range for q={self.q}")
-        return self._from_enc(enc)
+        return Element(self, enc)
 
 
 def make_field(p: int, n: int = 1, modulus: Sequence[int] | None = None) -> Field:
@@ -544,18 +580,14 @@ def make_field(p: int, n: int = 1, modulus: Sequence[int] | None = None) -> Fiel
             raise NotIrreducible(f"modulus coefficients must lie in [0, {p})")
         if not _zp_is_irreducible(mod, p):
             raise NotIrreducible(f"modulus {list(mod)} is reducible over Z_{p}")
-    field = Field(p, n, mod)
-    field._alpha_enc = _find_primitive(field)
-    return field
+    return Field(p, n, mod)
 
 
 def _find_primitive(field: Field) -> int:
     q = field.q
     checks = [(q - 1) // prime for prime, _ in factorize(q - 1)]
-    one = (1,) + (0,) * (field.n - 1)
     for enc in range(1, q):
-        v = field._from_enc(enc).coeffs
-        if all(field._vec_pow(v, e) != one for e in checks):
+        if all(field.pow(enc, e) != 1 for e in checks):
             return enc
     raise AssertionError("unreachable: F_q* is cyclic")  # pragma: no cover
 

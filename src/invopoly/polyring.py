@@ -96,71 +96,15 @@ class SparsePoly:
             self.field, ((reduce_exponent(e, q), c) for e, c in self.terms.items()))
 
     def value_table(self) -> list[int]:
-        """Encodings of f(x) for every x, indexed by the encoding of x.
-
-        Table-backed fields get integer only inner loops; anything larger
-        falls back to per-element evaluation.
-        """
+        """Encodings of f(x) for every x, indexed by the encoding of x."""
         f = self.field
-        q = f.q
-        if q > VALUE_TABLE_LIMIT:
-            raise FieldTooLarge(f"value table over q = {q} refused")
-        tab = f._tables()
-        if tab is None:
-            return [self.evaluate(x).enc for x in f.elements()]
-        exp, log = tab.exp, tab.log
-        qm1 = q - 1
-        if f.p == 2:
-            out = [0] * q
-            for e, c in self.terms.items():
-                if e == 0:
-                    ce = c.enc
-                    for x in range(q):
-                        out[x] ^= ce
-                else:
-                    lc = log[c.enc]
-                    for j in range(qm1):
-                        out[exp[j]] ^= exp[(j * e + lc) % qm1]
-            return out
-        if f.n == 1:
-            p = f.p
-            out = [0] * q
-            for e, c in self.terms.items():
-                if e == 0:
-                    ce = c.enc
-                    for x in range(q):
-                        out[x] = (out[x] + ce) % p
-                else:
-                    lc = log[c.enc]
-                    for j in range(qm1):
-                        x = exp[j]
-                        out[x] = (out[x] + exp[(j * e + lc) % qm1]) % p
-            return out
-        p, n = f.p, f.n
-        vec = tab.vec
-        acc = [[0] * n for _ in range(q)]
+        if f.q > VALUE_TABLE_LIMIT:
+            raise FieldTooLarge(f"value table over q = {f.q} refused")
+        out = None
         for e, c in self.terms.items():
-            if e == 0:
-                cv = vec[c.enc]
-                for x in range(q):
-                    row = acc[x]
-                    for i in range(n):
-                        row[i] += cv[i]
-            else:
-                lc = log[c.enc]
-                for j in range(qm1):
-                    tv = vec[exp[(j * e + lc) % qm1]]
-                    row = acc[exp[j]]
-                    for i in range(n):
-                        row[i] += tv[i]
-        out = [0] * q
-        for x in range(q):
-            row = acc[x]
-            enc = 0
-            for i in range(n - 1, -1, -1):
-                enc = enc * p + row[i] % p
-            out[x] = enc
-        return out
+            values = f.term_values(c.enc, e)
+            out = values if out is None else list(map(f.add, out, values))
+        return [0] * f.q if out is None else out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePoly):
@@ -302,7 +246,7 @@ def interpolate_table(field: Field, table: list[int]) -> SparsePoly:
         raise ValueError(f"table must have {q} entries, got {len(table)}")
     t = [field.element(v) for v in table]
     pairs = [(0, t[0])]
-    elems = [field._from_enc(e) for e in range(1, q)]
+    elems = list(field.elements())[1:]
     for k in range(1, q):
         acc = field.zero()
         for c in elems:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from invopoly import gf
 from invopoly.gf import make_field
 
 
@@ -93,3 +94,12 @@ def f3_6():
 @pytest.fixture(scope="session")
 def f3_8():
     return make_field(3, 8)
+
+
+@pytest.fixture(scope="session")
+def table_free():
+    """2^6, 3^4 and 13 built without exp/log tables, as fields above
+    TABLE_LIMIT are."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf, "TABLE_LIMIT", 0)
+        return [make_field(2, 6), make_field(3, 4), make_field(13)]

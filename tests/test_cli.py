@@ -191,6 +191,14 @@ def test_input_error_exit_codes():
                      "--params", "q=x,d=5,m=4,k=4")
     assert rc == 4
     assert "ParseError: parameter q must be an integer" in err
+    rc, _, err = run("family", "thm-geometric", "--field", "3^4",
+                     "--params", "q=3,d=4,m=4,k=10001")
+    assert rc == 4
+    assert "Overflow" in err
+    for counts in (("--sample", "-5"), ("--exhaustive-limit", "-1", "--sample", "0")):
+        rc, _, err = run("search", "--field", "9", *counts)
+        assert rc == 4
+        assert "ParseError" in err
 
 
 def test_precondition_exit_codes():

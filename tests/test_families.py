@@ -4,6 +4,7 @@ sides with frozen counts."""
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from invopoly.errors import (
     EvenQNoSolution,
     HValueZero,
     HypothesisViolated,
+    Overflow,
     ParseError,
     PreconditionViolated,
     RSquareCondition,
@@ -306,6 +308,14 @@ def test_geometric_term_count_scan(f81):
         valid.append(k)
         assert _is_involution(gen_geometric(f81, 3, 4, 4, k))
     assert valid == [1, 5, 13, 17]
+
+
+@pytest.mark.parametrize("k", [10001, 100000001])   # both pass every check
+def test_geometric_term_count_bounded(f81, k):
+    start = time.perf_counter()
+    with pytest.raises(Overflow):
+        gen_geometric(f81, 3, 4, 4, k)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_geometric_rejections(f16, f81):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 import time
 
@@ -135,10 +136,29 @@ def test_discrete_log_exhaustive(f64):
 def test_discrete_log_bsgs_above_table_limit():
     # 2^17 elements exceeds the dense-table limit, forcing baby-step giant-step
     field = make_field(2, 17)
-    assert field._tables() is None
+    assert field._log is None
     x = field.alpha ** 12345
     assert field.discrete_log(x) == 12345
     assert field.discrete_log(field.one()) == 0
+
+
+def test_table_free_arithmetic_matches_tables(table_free):
+    for slow in table_free:
+        fast = make_field(slow.p, slow.n)
+        assert slow._log is None and fast._log is not None
+        assert slow == fast and slow.alpha == fast.alpha
+        for a in range(fast.q):
+            x, y = slow.element(a), fast.element(a)
+            assert -x == -y
+            for e in (0, 1, 2, 7, fast.q - 2, fast.q, 3 * fast.q + 5, -1, -4):
+                if a or e >= 0:
+                    assert x**e == y**e
+            if a:
+                assert x.inverse() == y.inverse()
+                assert slow.discrete_log(x) == fast.discrete_log(y)
+            for b in range(fast.q):
+                assert x * slow.element(b) == y * fast.element(b)
+                assert x + slow.element(b) == y + fast.element(b)
 
 
 def test_subgroup_structure(f7, f64):
@@ -213,6 +233,7 @@ def test_custom_modulus_accepted():
     assert field != make_field(3, 2)
     x = field.alpha
     assert x ** (field.q - 1) == field.one()
+    assert pickle.loads(pickle.dumps(x)) == x
 
 
 def test_subfield_embedding_is_a_ring_hom(f4, f16, f9, f3_8):
