@@ -36,7 +36,7 @@ from .errors import (
 from .families import FAMILIES, FamilySpec, validate
 from .gf import Field, divisors, parse_field
 from .oracle import DEFAULT_CAP, PermReport, sweep
-from .polyring import RhsForm, SparsePoly, decompose, parse_poly
+from .polyring import RhsForm, SparsePoly, bound_subgroup_interpolation, decompose, parse_poly
 
 EXIT_INVOLUTION = 0
 EXIT_NOT_INVOLUTION = 1
@@ -226,6 +226,9 @@ def cmd_construct(args) -> int:
         if args.s is None:
             raise ParseError("construct general needs --s")
         d = (field.q - 1) // args.s if args.s and (field.q - 1) % args.s == 0 else None
+        if d is not None:
+            # before the d-entry subgroup involution is built
+            bound_subgroup_interpolation(d)
         if args.sigma == "inverse":
             if d is None:
                 raise NotADivisor(f"s = {args.s} does not divide {field.q - 1}")

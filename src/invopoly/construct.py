@@ -29,7 +29,7 @@ from .errors import (
 )
 from .gf import Field
 from .oracle import sweep
-from .polyring import RhsForm, SparsePoly, interpolate_on_subgroup
+from .polyring import RhsForm, SparsePoly, bound_subgroup_interpolation, interpolate_on_subgroup
 
 
 def involutory_exponents(s: int) -> list[int]:
@@ -68,6 +68,7 @@ def construct_general(field: Field, s: int, sigma: SubgroupInvolution,
     d = (q - 1) // s
     if d % field.p == 0:
         raise CharacteristicDividesD(f"characteristic {field.p} divides d = {d}")
+    bound_subgroup_interpolation(d)
     if sigma.d != d:
         raise PreconditionViolated(f"subgroup involution has size {sigma.d}, need {d}")
     if (r * r - 1) % s:
@@ -92,6 +93,7 @@ def construct_from_inverse(field: Field, s: int, r: int = 1, offsets=None) -> Rh
     d = (field.q - 1) // s if s >= 1 and (field.q - 1) % s == 0 else None
     if d is None:
         raise NotADivisor(f"s = {s} does not divide q-1 = {field.q - 1}")
+    bound_subgroup_interpolation(d)
     return construct_general(field, s, SubgroupInvolution.inversion(d), r, offsets)
 
 

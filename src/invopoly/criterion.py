@@ -10,6 +10,18 @@ map g(z) = z^r * h(z)^s on mu_d:
 
 A root of h on mu_d kills both properties (the whole coset above it maps
 to 0) and shows up here as phi(z) = 0.
+
+Every test here (and the root scans and subgroup checks of the families)
+is one walk z = omega^0, omega^1, ..., omega^{d-1} over mu_d, done on
+integer encodings with the field's kernel (table lookups for q up to
+gf.TABLE_LIMIT), in that order, stopping at the first failing z.  h is
+evaluated by Horner's rule, lazily and at most once per point of mu_d for
+each RhsForm: the values are memoised on the form, so check_involution
+(which also needs h(g(z)), again a point of mu_d) and check_permutation
+on the same form share them.  A decision therefore costs at most d
+evaluations of h, never q, and a walk over d > oracle.DEFAULT_CAP points
+is refused with FieldTooLarge before it starts.  g_map and phi_map are
+the same maps on single Elements, for callers and tests.
 """
 
 from __future__ import annotations
@@ -18,13 +30,15 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import (
+    FieldTooLarge,
     NotInSubgroup,
     NotInvolutionOnSubgroup,
     PreconditionViolated,
     RSquareCondition,
 )
-from .gf import Element
-from .polyring import RhsForm
+from .gf import Element, Field
+from .oracle import DEFAULT_CAP
+from .polyring import RhsForm, SparsePoly
 
 
 @dataclass(frozen=True)
@@ -116,6 +130,80 @@ def phi_map(rhs: RhsForm, z: Element) -> Element:
     return z ** ((r * r - 1) // s) * rhs.h.evaluate(gz) * hz**r
 
 
+# -- the walk over mu_d ------------------------------------------------------
+
+def _walk(field: Field, d: int, h: SparsePoly, memo: dict[int, int]):
+    """The one walk over mu_d behind every subgroup-level test.
+
+    Returns (h_at, points): h_at evaluates h at an encoding, and points
+    yields the encodings (z, h(z)) for z = omega^0, omega^1, ...,
+    omega^{d-1}, one at a time, so a caller that stops at its first failing
+    z evaluates h no further.  h_at looks each point up in memo first and
+    stores what it computes there.  d above the oracle's DEFAULT_CAP is
+    refused (FieldTooLarge) before any point is visited.
+    """
+    if d > DEFAULT_CAP:
+        raise FieldTooLarge(f"subgroup walk over d = {d} exceeds cap {DEFAULT_CAP}")
+    add, mul, pow_ = field.add, field.mul, field.pow
+    # Horner's rule over the exponents e_1 > ... > e_m of h:
+    # h(z) = ((c_1 z^{e_1-e_2} + c_2) z^{e_2-e_3} + ... + c_m) z^{e_m}
+    exps = sorted(h.terms, reverse=True) or [0]
+    steps = [(h.terms[e].enc, e - nxt) for e, nxt in zip(exps, exps[1:])]
+    last, low = h.coefficient(exps[-1]).enc, exps[-1]
+
+    def h_at(z: int) -> int:
+        v = memo.get(z)
+        if v is None:
+            v = 0
+            for c, gap in steps:
+                v = mul(add(v, c), z if gap == 1 else pow_(z, gap))
+            v = add(v, last)
+            if low:
+                v = mul(v, pow_(z, low))
+            memo[z] = v
+        return v
+
+    def points():
+        omega = field.pow(field.alpha.enc, (field.q - 1) // d)
+        z = 1
+        for _ in range(d):
+            yield z, h_at(z)
+            z = mul(z, omega)
+
+    return h_at, points()
+
+
+def _walk_form(rhs: RhsForm):
+    """_walk over the form's mu_d, sharing one memo among all checks of rhs."""
+    return _walk(rhs.field, rhs.d, rhs.h, rhs._h_values)
+
+
+def _first_root(field: Field, d: int, h: SparsePoly, memo: dict[int, int] | None = None):
+    """The first z = omega^i with h(z) = 0, as an Element, or None."""
+    for z, hz in _walk(field, d, h, {} if memo is None else memo)[1]:
+        if hz == 0:
+            return Element(field, z)
+    return None
+
+
+def _g_index_map(rhs: RhsForm, reject) -> list[int]:
+    """The index map i -> j of g(omega^i) = omega^j, from one walk over
+    mu_d.  reject(z, h(z)) sees every point first and must raise where
+    h(z) = 0, since g(z) = 0 has no index."""
+    field = rhs.field
+    mul, pow_ = field.mul, field.pow
+    r, s = rhs.r, rhs.s
+    index: dict[int, int] = {}
+    images = []
+    for i, (z, hz) in enumerate(_walk_form(rhs)[1]):
+        reject(z, hz)
+        index[z] = i
+        images.append(mul(pow_(z, r), pow_(hz, s)))
+    return [index[g] for g in images]
+
+
+# -- the criteria ------------------------------------------------------------
+
 def check_involution(rhs: RhsForm) -> CriterionReport:
     """Decide whether x^r * h(x^s) is an involution without touching any
     element outside mu_d."""
@@ -124,16 +212,13 @@ def check_involution(rhs: RhsForm) -> CriterionReport:
     if (r * r - 1) % s:
         return CriterionReport(False, gcd_ok, True, None, False)
     zexp = (r * r - 1) // s
-    one = rhs.field.one()
-    h = rhs.h
-    _, mu = rhs.field.subgroup(rhs.d)
-    for z in mu:
-        hz = h.evaluate(z)
-        if hz.is_zero:
-            return CriterionReport(True, gcd_ok, False, z, False)
-        gz = z**r * hz**s
-        if z**zexp * h.evaluate(gz) * hz**r != one:
-            return CriterionReport(True, gcd_ok, False, z, False)
+    field = rhs.field
+    mul, pow_ = field.mul, field.pow
+    h_at, points = _walk_form(rhs)
+    for z, hz in points:
+        if hz == 0 or mul(mul(pow_(z, zexp), h_at(mul(pow_(z, r), pow_(hz, s)))),
+                          pow_(hz, r)) != 1:
+            return CriterionReport(True, gcd_ok, False, Element(field, z), False)
     return CriterionReport(True, gcd_ok, True, None, True)
 
 
@@ -142,15 +227,17 @@ def check_permutation(rhs: RhsForm) -> PermutationCheck:
     gcd_ok = gcd(rhs.r, rhs.s) == 1
     if not gcd_ok:
         return PermutationCheck(False, False)
-    _, mu = rhs.field.subgroup(rhs.d)
-    seen: dict[int, Element] = {}
-    for z in mu:
-        hz = rhs.h.evaluate(z)
-        if hz.is_zero:
-            return PermutationCheck(False, True, witness=z)
-        gz = (z**rhs.r * hz**rhs.s).enc
+    field = rhs.field
+    mul, pow_ = field.mul, field.pow
+    r, s = rhs.r, rhs.s
+    seen: dict[int, int] = {}
+    for z, hz in _walk_form(rhs)[1]:
+        if hz == 0:
+            return PermutationCheck(False, True, witness=Element(field, z))
+        gz = mul(pow_(z, r), pow_(hz, s))
         if gz in seen:
-            return PermutationCheck(False, True, witness=(seen[gz], z))
+            return PermutationCheck(False, True,
+                                    witness=(Element(field, seen[gz]), Element(field, z)))
         seen[gz] = z
     return PermutationCheck(True, True)
 
@@ -163,19 +250,18 @@ def induced_subgroup_involution(rhs: RhsForm) -> SubgroupInvolution:
     converse direction fails in general, so success here proves nothing
     about f on its own.
     """
-    _, mu = rhs.field.subgroup(rhs.d)
-    index = {z.enc: i for i, z in enumerate(mu)}
-    mapping = []
-    for z in mu:
-        g = g_map(rhs, z)
-        j = index.get(g.enc)
-        if j is None:
+    field = rhs.field
+
+    def reject(z: int, hz: int) -> None:
+        if hz == 0:
             raise NotInvolutionOnSubgroup(
-                f"g({z}) = {g} leaves the subgroup", witness=z)
-        mapping.append(j)
+                f"g({Element(field, z)}) = 0 leaves the subgroup", witness=Element(field, z))
+
+    mapping = _g_index_map(rhs, reject)
     for i in range(rhs.d):
         if mapping[mapping[i]] != i:
+            omega = field.pow(field.alpha.enc, (field.q - 1) // rhs.d)
             raise NotInvolutionOnSubgroup(
                 f"g o g moves omega^{i} to omega^{mapping[mapping[i]]}",
-                witness=mu[i])
+                witness=Element(field, field.pow(omega, i)))
     return SubgroupInvolution(mapping)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 from math import gcd
 from typing import Callable
 
-from .criterion import check_involution
+from .criterion import _first_root, _g_index_map, _walk_form, check_involution
 from .errors import (
     BaseNotInvolution,
     EvenQNoSolution,
@@ -137,8 +137,7 @@ def _cond_conj_symmetric(ext: Field, r: int, coeffs: dict) -> list[ConditionChec
                                  f"outside positions {stray}" if stray else f"allowed {sorted(omg)}"))
     if stray or not hyp:
         return checks
-    h = _conj_h(ext, q, coeffs)
-    root = next((b for b in ext.subgroup(q + 1)[1] if h.evaluate(b).is_zero), None)
+    root = _first_root(ext, q + 1, _conj_h(ext, q, coeffs))
     checks.append(ConditionCheck("h-nonzero-on-mu", root is None,
                                  f"h({root}) = 0" if root is not None else ""))
     return checks
@@ -153,10 +152,11 @@ def gen_conj_symmetric(ext: Field, r: int, coeffs: dict) -> RhsForm:
     h = _conj_h(ext, q, coeffs)
     rhs = RhsForm(ext, r, q - 1, h)
     zexp = (r * r - 1) // (q - 1)
-    for b in ext.subgroup(q + 1)[1]:
-        hb = h.evaluate(b)
-        if hb**q != hb or b**zexp * h.evaluate(b**r) != hb:
-            raise InternalMismatch(f"conjugate symmetry identity fails at {b}")
+    mul, pow_ = ext.mul, ext.pow
+    h_at, points = _walk_form(rhs)
+    for b, hb in points:
+        if pow_(hb, q) != hb or mul(pow_(b, zexp), h_at(pow_(b, r))) != hb:
+            raise InternalMismatch(f"conjugate symmetry identity fails at {Element(ext, b)}")
     if not check_involution(rhs).verdict:
         raise InternalMismatch("conjugate-symmetric construction failed the criterion")
     return rhs
@@ -256,8 +256,7 @@ def _cond_palindromic(ext: Field, base_q: int, d: int, r: int, coeffs: dict) -> 
                                  f"positions {sorted(alien)} outside order-{base_q} subfield" if alien else ""))
     if alien:
         return checks
-    h = SparsePoly(ext, full)
-    root = next((z for z in ext.subgroup(d)[1] if h.evaluate(z).is_zero), None)
+    root = _first_root(ext, d, SparsePoly(ext, full))
     checks.append(ConditionCheck("h-nonzero-on-mu", root is None,
                                  f"h({root}) = 0" if root is not None else ""))
     return checks
@@ -366,7 +365,7 @@ def gen_reversal(ext: Field, r: int, deg: int, coeffs: dict) -> ReversalOutcome:
     _gate(checks)
     q = _split_square(ext)
     rhs = RhsForm(ext, r, q - 1, h)
-    root = next((z for z in ext.subgroup(q + 1)[1] if h.evaluate(z).is_zero), None)
+    root = _first_root(ext, q + 1, rhs.h, rhs._h_values)
     verdict = root is None
     if check_involution(rhs).verdict != verdict:
         raise InternalMismatch("criterion disagrees with the root test")
@@ -548,16 +547,15 @@ def check_iff_subgroup(rhs: RhsForm) -> bool:
         raise HypothesisViolated(f"r^2 = 1 mod s fails for r = {r}, s = {s}")
     if gcd(s, d) != 1:
         raise HypothesisViolated(f"gcd(s, d) = {gcd(s, d)} must be 1")
-    _, mu = rhs.field.subgroup(d)
-    one = rhs.field.one()
-    values = []
-    for z in mu:
-        v = rhs.h.evaluate(z)
-        if v.is_zero or v**d != one:
-            raise HypothesisViolated(f"h({z}) = {v} is outside mu_{d}", witness=z)
-        values.append(v)
-    index = {z.enc: i for i, z in enumerate(mu)}
-    mapping = [index[(mu[i] ** r * values[i] ** s).enc] for i in range(d)]
+    field = rhs.field
+
+    def reject(z: int, v: int) -> None:
+        if v == 0 or field.pow(v, d) != 1:
+            raise HypothesisViolated(
+                f"h({Element(field, z)}) = {Element(field, v)} is outside mu_{d}",
+                witness=Element(field, z))
+
+    mapping = _g_index_map(rhs, reject)
     return all(mapping[mapping[i]] == i for i in range(d))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .errors import (
@@ -167,6 +168,12 @@ class RhsForm:
     def d(self) -> int:
         return (self.field.q - 1) // self.s
 
+    @cached_property
+    def _h_values(self) -> dict[int, int]:
+        """h(z) by the encoding of z, filled in as the criterion walks mu_d,
+        so that all subgroup-level checks of this form share the points."""
+        return {}
+
     def expand(self) -> SparsePoly:
         """The plain polynomial x^r * h(x^s) with exponents folded into
         [1, q-1].  Distinct h exponents mod d stay distinct here."""
@@ -211,24 +218,39 @@ def decompose(f: SparsePoly, s: int | None = None) -> RhsForm:
     return RhsForm(f.field, r, s, h)
 
 
+def bound_subgroup_interpolation(d: int) -> None:
+    """Refuse interpolation on more than COMPOSE_LIMIT roots of unity; the
+    transform is quadratic in d."""
+    if d > COMPOSE_LIMIT:
+        raise FieldTooLarge(f"subgroup interpolation over d = {d} exceeds {COMPOSE_LIMIT}")
+
+
 def interpolate_on_subgroup(field: Field, values: list[Element]) -> SparsePoly:
     """The unique h of degree < d with h(omega^i) = values[i] on the d-th
     roots of unity, via the inverse discrete Fourier transform
-    h_k = d^{-1} * sum_i values[i] * omega^{-ik}."""
+    h_k = d^{-1} * sum_i values[i] * omega^{-ik}, on encodings."""
     d = len(values)
     if d < 1 or (field.q - 1) % d:
         raise NotADivisor(f"{d} does not divide q-1 = {field.q - 1}")
     if d % field.p == 0:
         raise CharacteristicDividesD(f"characteristic {field.p} divides d = {d}")
-    omega = field.alpha ** ((field.q - 1) // d)
-    dinv = field.scalar(d).inverse()
-    pairs = []
+    bound_subgroup_interpolation(d)
+    if any(v.field != field for v in values):
+        raise ValueError("elements belong to different fields")
+    add, mul = field.add, field.mul
+    step = field.pow(field.alpha.enc, -((field.q - 1) // d))   # omega^{-1}
+    inv_powers = [1] * d
+    for j in range(1, d):
+        inv_powers[j] = mul(inv_powers[j - 1], step)
+    nonzero = [(i, v.enc) for i, v in enumerate(values) if v.enc]
+    dinv = field.pow(d % field.p, -1)
+    coeffs = {}
     for k in range(d):
-        acc = field.zero()
-        for i, v in enumerate(values):
-            acc = acc + v * omega ** (-i * k)
-        pairs.append((k, dinv * acc))
-    return SparsePoly.from_pairs(field, pairs)
+        acc = 0
+        for i, v in nonzero:
+            acc = add(acc, mul(v, inv_powers[i * k % d]))
+        coeffs[k] = Element(field, mul(dinv, acc))
+    return SparsePoly(field, coeffs)
 
 
 def interpolate_table(field: Field, table: list[int]) -> SparsePoly:

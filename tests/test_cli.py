@@ -8,10 +8,11 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
-from invopoly import errors
+from invopoly import cli, errors
 
 ENV = dict(os.environ)
 ENV["PYTHONPATH"] = os.pathsep.join(
@@ -199,6 +200,26 @@ def test_input_error_exit_codes():
         rc, _, err = run("search", "--field", "9", *counts)
         assert rc == 4
         assert "ParseError" in err
+
+
+@pytest.mark.parametrize("argv, limit", [
+    # the criterion would walk about 3.6e8 and 1.4e6 points of mu_d
+    (("verify", "--field", "2^30", "--poly", "x^4 + a*x"), 1.0),
+    (("verify", "--field", "2^22", "--poly", "x^4 + a*x", "--cap", "0"), 1.0),
+    # subgroup interpolation over 1048575, 265720 and 1049601 points
+    (("construct", "general", "--field", "2^20", "--s", "1"), 0.5),
+    (("construct", "general", "--field", "3^12", "--s", "2"), 0.5),
+    (("construct", "general", "--field", "2^30", "--s", "1023"), 0.5),
+    (("construct", "general", "--field", "2^30", "--s", "1023", "--sigma", "identity"), 0.5),
+], ids=["verify-2^30", "verify-2^22", "construct-2^20", "construct-3^12", "construct-2^30",
+        "construct-2^30-identity"])
+def test_large_subgroups_refused_fast(argv, limit, capsys):
+    start = time.perf_counter()
+    rc = cli.main(list(argv))
+    elapsed = time.perf_counter() - start
+    assert rc == 4
+    assert "FieldTooLarge" in capsys.readouterr().err
+    assert elapsed < limit
 
 
 def test_precondition_exit_codes():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invopoly.criterion import (
     SubgroupInvolution,
@@ -15,12 +17,14 @@ from invopoly.criterion import (
     phi_map,
 )
 from invopoly.errors import (
+    FieldTooLarge,
     NotInSubgroup,
     NotInvolutionOnSubgroup,
     PreconditionViolated,
     RSquareCondition,
 )
-from invopoly.oracle import sweep
+from invopoly.gf import make_field
+from invopoly.oracle import DEFAULT_CAP, sweep
 from invopoly.polyring import RhsForm, SparsePoly, parse_poly
 
 
@@ -154,3 +158,83 @@ def test_phi_equals_one_exactly_on_involutions(f9):
         phis = [phi_map(rhs, z) for z in mu]
         all_one = all(v == f9.one() for v in phis)
         assert all_one == bool(sweep(rhs.expand()).is_involution)
+
+
+# every field with 4 <= q <= 64, all table-backed
+SMALL_FIELDS = [make_field(p, n) for p, n in
+                [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4),
+                 (5, 2), (3, 3), (2, 5), (7, 2), (2, 6)]]
+PROPERTY_SETTINGS = settings(max_examples=300, derandomize=True, deadline=None)
+
+
+@st.composite
+def rhs_forms(draw, fields):
+    field = draw(st.sampled_from(fields))
+    q = field.q
+    s = draw(st.sampled_from([t for t in range(1, q) if (q - 1) % t == 0]))
+    d = (q - 1) // s
+    # r from the admissible residues as often as at random, so that both
+    # outcomes of the r-condition and of phi come up
+    r = draw(st.one_of(st.integers(1, q - 1),
+                       st.sampled_from([t for t in range(1, s + 1) if (t * t - 1) % s == 0])))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 2 * d), st.integers(0, q - 1)),
+                          min_size=1, max_size=d + 1))
+    h = SparsePoly.from_pairs(field, [(e, field.element(c)) for e, c in pairs])
+    return RhsForm(field, r, s, h)
+
+
+def _pointwise_reference(rhs):
+    """(failing_z, permutation witness) from g_map and phi_map, visiting
+    mu_d in the order omega^0, omega^1, ..."""
+    _, mu = rhs.field.subgroup(rhs.d)
+    failing = None
+    if (rhs.r * rhs.r - 1) % rhs.s == 0:
+        failing = next((z for z in mu if phi_map(rhs, z) != rhs.field.one()), None)
+    witness = None
+    seen = {}
+    for z in mu:
+        g = g_map(rhs, z)
+        if g.is_zero:
+            witness = z
+            break
+        if g in seen:
+            witness = (seen[g], z)
+            break
+        seen[g] = z
+    return failing, witness
+
+
+def _check_against_references(rhs):
+    report = sweep(rhs.expand())
+    inv, perm = check_involution(rhs), check_permutation(rhs)
+    assert inv.verdict == bool(report.is_permutation and report.is_involution)
+    assert perm.ok == report.is_permutation
+    failing, witness = _pointwise_reference(rhs)
+    assert inv.failing_z == failing
+    if perm.gcd_ok:
+        assert perm.witness == witness
+    # the memo both checks shared holds values of h on mu_d only
+    _, mu = rhs.field.subgroup(rhs.d)
+    assert set(rhs._h_values) <= {z.enc for z in mu}
+
+
+@PROPERTY_SETTINGS
+@given(rhs=rhs_forms(SMALL_FIELDS))
+def test_criterion_matches_oracle_and_pointwise_reference(rhs):
+    _check_against_references(rhs)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_criterion_matches_references_without_tables(table_free, data):
+    _check_against_references(data.draw(rhs_forms(table_free)))
+
+
+def test_criterion_refuses_subgroups_above_the_cap():
+    # d = (2^30 - 1) / 3, about 3.6e8 points of mu_d
+    big = make_field(2, 30)
+    rhs = RhsForm(big, 1, 3, parse_poly(big, "x + a"))
+    assert rhs.d > DEFAULT_CAP
+    for check in (check_involution, check_permutation, induced_subgroup_involution):
+        with pytest.raises(FieldTooLarge):
+            check(rhs)

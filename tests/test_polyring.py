@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invopoly.errors import (
     FieldTooLarge,
@@ -14,7 +16,9 @@ from invopoly.errors import (
     PreconditionViolated,
     ZeroPolynomial,
 )
+from invopoly.gf import make_field
 from invopoly.polyring import (
+    COMPOSE_LIMIT,
     RhsForm,
     SparsePoly,
     compose_reduce,
@@ -128,7 +132,7 @@ def test_decompose_round_trips_random_forms(f9, f16):
             assert back.expand().value_table() == rhs.expand().value_table()
 
 
-def test_interpolate_on_subgroup(f13):
+def test_interpolate_on_subgroup(f7, f13):
     omega, mu = f13.subgroup(4)
     rng = random.Random(6)
     for _ in range(20):
@@ -139,6 +143,30 @@ def test_interpolate_on_subgroup(f13):
             assert h.evaluate(z) == v
     with pytest.raises(NotADivisor):
         interpolate_on_subgroup(f13, [f13.one()] * 5)
+    with pytest.raises(ValueError):
+        interpolate_on_subgroup(f13, [f13.one(), f7.one(), f13.one()])
+    big = make_field(2, 12)   # d = 4095 divides q - 1 and is odd
+    assert 4095 > COMPOSE_LIMIT
+    with pytest.raises(FieldTooLarge):
+        interpolate_on_subgroup(big, [big.one()] * 4095)
+
+
+ROUND_TRIP_FIELDS = [make_field(p, n) for p, n in
+                     [(7, 1), (13, 1), (2, 4), (3, 2), (5, 2), (2, 6), (7, 2), (3, 4)]]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_interpolate_on_subgroup_round_trips(table_free, data):
+    field = data.draw(st.sampled_from(ROUND_TRIP_FIELDS + table_free))
+    d = data.draw(st.sampled_from(
+        [t for t in range(1, field.q) if (field.q - 1) % t == 0 and t % field.p]))
+    values = [field.element(v) for v in data.draw(
+        st.lists(st.integers(0, field.q - 1), min_size=d, max_size=d))]
+    h = interpolate_on_subgroup(field, values)
+    assert h.degree() < d
+    _, mu = field.subgroup(d)
+    assert [h.evaluate(z) for z in mu] == values
 
 
 def test_interpolate_table_reproduces_any_map(f7, f16):
