@@ -12,12 +12,15 @@ computed only when asked for.  Each field does its arithmetic on
 encodings through one kernel (add, mul and pow; neg multiplies by -1)
 picked when the field is made: integer arithmetic mod p for prime fields,
 carry-less multiply for characteristic 2, digit-wise arithmetic for odd
-extensions.  For q up
-to TABLE_LIMIT the field also builds exp/log tables of the cached
-primitive element alpha (the element of smallest encoding whose order is
-q - 1), and mul and pow become table lookups; odd extensions then add by
-Zech logarithms.  Above TABLE_LIMIT the table-free kernel serves every
-operation and gives identical results.
+extensions.  For q up to TABLE_LIMIT the field also builds exp/log
+tables of the cached primitive element alpha (the element of smallest
+encoding whose order is q - 1), and mul and pow become table lookups; odd
+extensions then add by Zech logarithms.  Above TABLE_LIMIT the table-free
+kernel serves every operation and gives identical results; discrete logs
+(the k printed in 'a^k') then go by Pohlig-Hellman over the prime factors
+of q - 1, which are found once per field and also serve the primitive
+search, with one baby-step giant-step table of about sqrt(l) entries per
+prime l, built on first use and kept on the field.
 """
 
 from __future__ import annotations
@@ -337,8 +340,8 @@ class Field:
     parse_field, not directly.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "_alpha_enc", "_key",
-                 "add", "mul", "_pow", "_exp", "_log")
+    __slots__ = ("p", "n", "q", "modulus", "_alpha_enc", "_key", "_factors",
+                 "add", "mul", "_pow", "_exp", "_log", "_dlog_tables")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
@@ -348,6 +351,8 @@ class Field:
         self._key = (p, n, modulus)
         self.add, self.mul, self._pow = _kernel(p, n, modulus)
         self._exp = self._log = None
+        self._factors = factorize(self.q - 1)
+        self._dlog_tables: dict[int, tuple[dict[int, int], int, int, int]] = {}
         self._alpha_enc = _find_primitive(self)
         if self.q <= TABLE_LIMIT:
             self._use_tables()
@@ -493,26 +498,64 @@ class Field:
     # -- multiplicative structure --------------------------------------------
 
     def discrete_log(self, x: Element) -> int:
-        """k in [0, q-1) with alpha^k = x; baby-step giant-step off-table."""
+        """k in [0, q-1) with alpha^k = x.
+
+        A lookup when the field has tables.  Otherwise Pohlig-Hellman: for
+        each prime power l^e exactly dividing q - 1, x^((q-1)/l^e) lies in
+        the subgroup of order l^e, where its log is found one base-l digit
+        at a time, each digit a baby-step giant-step search in the subgroup
+        of order l; the Chinese remainder theorem joins the residues mod l^e.
+        """
         if x.is_zero:
             raise DivisionByZero("discrete log of zero")
         if self._log is not None:
             return self._log[x.enc]
-        mul, alpha = self.mul, self._alpha_enc
-        m = math.isqrt(self.q - 2) + 1
-        baby: dict[int, int] = {}
-        cur = 1
-        for j in range(m):
-            baby.setdefault(cur, j)
-            cur = mul(cur, alpha)
-        giant = self.pow(alpha, -m)
-        cur = x.enc
-        for i in range(m + 1):
-            j = baby.get(cur)
-            if j is not None:
-                return (i * m + j) % (self.q - 1)
-            cur = mul(cur, giant)
-        raise AssertionError("unreachable: alpha generates the unit group")  # pragma: no cover
+        qm1 = self.q - 1
+        k = 0
+        for prime, mult in self._factors:
+            order = prime**mult
+            cofactor = qm1 // order
+            # y = g^(k mod order) for g = alpha^cofactor, of order prime^mult
+            y = self.pow(x.enc, cofactor)
+            baby, giant, m, g_inv = self._dlog_table(prime, cofactor)
+            residue, place = 0, 1
+            for j in range(mult - 1, -1, -1):
+                # z = gamma^digit, gamma = g^(prime^(mult-1)) of order prime
+                z = self.pow(y, prime**j) if j else y
+                for i in range(m):
+                    b = baby.get(z)
+                    if b is not None:
+                        break
+                    z = self.mul(z, giant)
+                else:  # pragma: no cover
+                    raise AssertionError("unreachable: z lies in the subgroup of order prime")
+                digit = i * m + b
+                if digit and j:
+                    y = self.mul(y, self.pow(g_inv, digit * place))   # strip the digit
+                residue += digit * place
+                place *= prime
+            k += residue * cofactor * pow(cofactor, -1, order)
+        return k % qm1
+
+    def _dlog_table(self, prime: int, cofactor: int) -> tuple[dict[int, int], int, int, int]:
+        """Search data for a prime factor of q - 1, built on first use and
+        kept on the field: the baby steps gamma^j -> j for j < m =
+        ceil(sqrt(prime)), where gamma = alpha^((q-1)/prime) has order
+        prime; the giant step gamma^-m; m; and alpha^-cofactor, which strips
+        the digits found in the subgroup of order prime^mult."""
+        table = self._dlog_tables.get(prime)
+        if table is None:
+            mul = self.mul
+            gamma = self.pow(self._alpha_enc, (self.q - 1) // prime)
+            m = math.isqrt(prime - 1) + 1
+            baby: dict[int, int] = {}
+            cur = 1
+            for j in range(m):
+                baby[cur] = j
+                cur = mul(cur, gamma)
+            table = (baby, self.pow(cur, -1), m, self.pow(self._alpha_enc, -cofactor))
+            self._dlog_tables[prime] = table
+        return table
 
     def subgroup(self, d: int) -> tuple[Element, list[Element]]:
         """Generator omega = alpha^{(q-1)/d} and [omega^0, ..., omega^{d-1}]."""
@@ -585,7 +628,7 @@ def make_field(p: int, n: int = 1, modulus: Sequence[int] | None = None) -> Fiel
 
 def _find_primitive(field: Field) -> int:
     q = field.q
-    checks = [(q - 1) // prime for prime, _ in factorize(q - 1)]
+    checks = [(q - 1) // prime for prime, _ in field._factors]
     for enc in range(1, q):
         if all(field.pow(enc, e) != 1 for e in checks):
             return enc

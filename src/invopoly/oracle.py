@@ -55,11 +55,15 @@ def _check_table(field: Field, table: list[int]) -> PermReport:
     return PermReport(field, True, True, fixed)
 
 
-def sweep(f: SparsePoly, cap: int = DEFAULT_CAP) -> PermReport:
-    """Evaluate f everywhere and report permutation / involution status."""
+def _capped_value_table(f: SparsePoly, cap: int) -> list[int]:
     if f.field.q > cap:
         raise FieldTooLarge(f"oracle sweep over q = {f.field.q} exceeds cap {cap}")
-    return _check_table(f.field, f.value_table())
+    return f.value_table()
+
+
+def sweep(f: SparsePoly, cap: int = DEFAULT_CAP) -> PermReport:
+    """Evaluate f everywhere and report permutation / involution status."""
+    return _check_table(f.field, _capped_value_table(f, cap))
 
 
 def is_permutation(f: SparsePoly, cap: int = DEFAULT_CAP) -> PermReport:
@@ -72,12 +76,12 @@ def is_involution(f: SparsePoly, cap: int = DEFAULT_CAP) -> PermReport:
 
 def compositional_inverse(f: SparsePoly, cap: int = DEFAULT_CAP) -> SparsePoly:
     """The reduced polynomial inducing f^{-1}; NotAPermutation otherwise."""
-    report = sweep(f, cap)
+    table = _capped_value_table(f, cap)
+    report = _check_table(f.field, table)
     if not report.is_permutation:
         raise NotAPermutation(f"no inverse: f collides at encodings "
                               f"{report.witness[0].enc} and {report.witness[1].enc}",
                               witness=report.witness)
-    table = f.value_table()
     inv = [0] * len(table)
     for x, y in enumerate(table):
         inv[y] = x

@@ -196,9 +196,9 @@ def decompose(f: SparsePoly, s: int | None = None) -> RhsForm:
     A nonzero constant term blocks the shape (HasConstantTerm); an explicit
     s must divide the generic one (NotADivisor).
     """
+    f = f.reduce_exponents()   # x - x^q, say, folds to the zero polynomial
     if f.is_zero:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
-    f = f.reduce_exponents()
     if 0 in f.terms:
         raise HasConstantTerm("polynomial has a constant term; x^r * h(x^s) needs r >= 1")
     q = f.field.q
@@ -259,7 +259,10 @@ def interpolate_table(field: Field, table: list[int]) -> SparsePoly:
 
     Closed form from delta functions 1 - (x - c)^{q-1}: the constant term
     is t_0 and, for k >= 1, the x^k coefficient is
-    -(sum over c != 0 of t_c * c^{q-1-k}), with t_0 joining the k = q-1 sum.
+    -(sum over c != 0 of t_c * c^{-k}), with t_0 joining the k = q-1 sum.
+    The sums over c = alpha^i are the subgroup transform on mu_{q-1},
+    whose d^{-1} = (q-1)^{-1} is -1: they are the coefficients h_k of
+    interpolate_on_subgroup, with h_0 serving k = q-1.
     """
     q = field.q
     if q > COMPOSE_LIMIT:
@@ -267,15 +270,14 @@ def interpolate_table(field: Field, table: list[int]) -> SparsePoly:
     if len(table) != q:
         raise ValueError(f"table must have {q} entries, got {len(table)}")
     t = [field.element(v) for v in table]
-    pairs = [(0, t[0])]
-    elems = list(field.elements())[1:]
-    for k in range(1, q):
-        acc = field.zero()
-        for c in elems:
-            acc = acc + t[c.enc] * c ** (q - 1 - k)
-        if k == q - 1:
-            acc = acc + t[0]
-        pairs.append((k, -acc))
+    on_units = []
+    x, alpha = 1, field.alpha.enc
+    for _ in range(q - 1):
+        on_units.append(t[x])
+        x = field.mul(x, alpha)
+    h = interpolate_on_subgroup(field, on_units)
+    pairs = [(0, t[0])] + [(k, c) for k, c in h.terms.items() if k]
+    pairs.append((q - 1, h.coefficient(0) - t[0]))
     return SparsePoly.from_pairs(field, pairs)
 
 

@@ -103,3 +103,13 @@ def table_free():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gf, "TABLE_LIMIT", 0)
         return [make_field(2, 6), make_field(3, 4), make_field(13)]
+
+
+@pytest.fixture(scope="session")
+def text_fields(table_free):
+    """Fields whose elements print as decimals or as 'a^k': table-backed
+    ones, the table_free ones and 2^18, above TABLE_LIMIT, where k comes
+    from Pohlig-Hellman."""
+    return [make_field(p, n) for p, n in
+            [(2, 1), (7, 1), (13, 1), (2, 4), (3, 2), (5, 2), (2, 8), (3, 5), (2, 18)]
+            ] + table_free

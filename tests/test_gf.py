@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invopoly.errors import (
     DivisionByZero,
@@ -142,6 +145,29 @@ def test_discrete_log_bsgs_above_table_limit():
     assert field.discrete_log(field.one()) == 0
 
 
+@pytest.mark.parametrize("p, n", [(2, 17), (2, 18), (3, 12)])
+def test_discrete_log_pohlig_hellman_above_table_limit(p, n):
+    # q - 1 is prime for 2^17 (a single baby-step giant-step search); 3^3
+    # divides it for 2^18 and 2^4 for 3^12 (several base-l digits per prime)
+    field = make_field(p, n)
+    assert field._log is None
+    rng = random.Random(p * 100 + n)
+    sample = [field.element(rng.randrange(1, field.q)) for _ in range(40)]
+    sample += [field.one(), field.alpha, -field.one(), field.alpha ** (field.q - 2)]
+    for x in sample:
+        k = field.discrete_log(x)
+        assert 0 <= k < field.q - 1
+        assert field.alpha ** k == x
+    # one table of ceil(sqrt(l)) baby steps per prime l of q - 1, kept
+    tables = dict(field._dlog_tables)
+    assert sorted(tables) == [prime for prime, _ in factorize(field.q - 1)]
+    for prime, (baby, _, m, _) in tables.items():
+        assert m == len(baby) == math.ceil(math.sqrt(prime))
+    for x in sample:
+        field.discrete_log(x)
+    assert all(field._dlog_tables[prime] is table for prime, table in tables.items())
+
+
 def test_table_free_arithmetic_matches_tables(table_free):
     for slow in table_free:
         fast = make_field(slow.p, slow.n)
@@ -189,6 +215,14 @@ def test_element_str_and_parse(f64, f7, f25):
     for text in ("1,2,0", "1,", "1,x"):
         with pytest.raises(ParseError):
             f25.parse_element(text)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_element_text_round_trips(text_fields, data):
+    field = data.draw(st.sampled_from(text_fields))
+    x = field.element(data.draw(st.integers(0, field.q - 1)))
+    assert field.parse_element(str(x)) == x
 
 
 def test_make_field_errors():

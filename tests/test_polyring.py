@@ -16,7 +16,7 @@ from invopoly.errors import (
     PreconditionViolated,
     ZeroPolynomial,
 )
-from invopoly.gf import make_field
+from invopoly.gf import factorize, make_field
 from invopoly.polyring import (
     COMPOSE_LIMIT,
     RhsForm,
@@ -58,6 +58,42 @@ def test_parse_and_str_round_trip(f7, f64):
         parse_poly(f7, "x^-2")
     with pytest.raises(ValueError):
         SparsePoly.from_pairs(f7, [(-2, f7.one())])
+
+
+def _polys(field, max_exponent):
+    return st.lists(st.tuples(st.integers(0, max_exponent), st.integers(0, field.q - 1)),
+                    max_size=6).map(lambda pairs: SparsePoly.from_pairs(
+                        field, [(e, field.element(c)) for e, c in pairs]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_poly_text_round_trips(text_fields, data):
+    field = data.draw(st.sampled_from(text_fields))
+    f = data.draw(_polys(field, 3 * field.q))
+    assert parse_poly(field, str(f)) == f
+
+
+# every field with q <= 64
+IDENTITY_FIELDS = [make_field(*factorize(q)[0]) for q in range(2, 65)
+                   if len(factorize(q)) == 1]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_decompose_expand_identity(data):
+    field = data.draw(st.sampled_from(IDENTITY_FIELDS))
+    f = data.draw(_polys(field, 3 * field.q).filter(lambda f: 0 not in f.terms))
+    reduced = f.reduce_exponents()
+    if reduced.is_zero:   # x - x^q, say
+        with pytest.raises(ZeroPolynomial):
+            decompose(f)
+        return
+    form = decompose(f)
+    assert form.r == min(reduced.terms) and (field.q - 1) % form.s == 0
+    assert form.expand() == reduced
+    s = data.draw(st.sampled_from([t for t in range(1, form.s + 1) if form.s % t == 0]))
+    assert decompose(f, s).expand() == reduced
 
 
 def test_value_table_matches_pointwise_evaluation(f7, f9, f16, table_free):
@@ -113,6 +149,8 @@ def test_decompose_picks_largest_s_and_respects_forced_s(f7, f13):
         decompose(parse_poly(f7, "x + 1"))
     with pytest.raises(ZeroPolynomial):
         decompose(SparsePoly.zero(f7))
+    with pytest.raises(ZeroPolynomial):
+        decompose(parse_poly(f7, "x + 6*x^7"))   # x^7 folds onto x
 
 
 def test_decompose_round_trips_random_forms(f9, f16):
