@@ -50,13 +50,7 @@ from .families import (
     validate,
 )
 from .gf import Element, Field, make_field, parse_field, subfield_embedding
-from .oracle import (
-    PermReport,
-    compositional_inverse,
-    is_involution,
-    is_permutation,
-    sweep,
-)
+from .oracle import PermReport, compositional_inverse, sweep
 from .polyring import (
     RhsForm,
     SparsePoly,
@@ -110,8 +104,6 @@ __all__ = [
     "interpolate_on_subgroup",
     "interpolate_table",
     "involutory_exponents",
-    "is_involution",
-    "is_permutation",
     "lift_involution",
     "make_field",
     "omega_set",

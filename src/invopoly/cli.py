@@ -10,6 +10,7 @@ element so results are reproducible; exit codes encode the verdict.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -21,7 +22,6 @@ from .construct import (
     construct_d2,
     construct_d3,
     construct_general,
-    involutory_exponents,
 )
 from .criterion import SubgroupInvolution, check_involution, check_permutation
 from .errors import (
@@ -41,7 +41,6 @@ from .polyring import RhsForm, SparsePoly, bound_subgroup_interpolation, decompo
 EXIT_INVOLUTION = 0
 EXIT_NOT_INVOLUTION = 1
 EXIT_NOT_PERMUTATION = 2
-EXIT_PRECONDITION = 3
 EXIT_INPUT = 4
 EXIT_MISMATCH = 5
 
@@ -229,14 +228,11 @@ def cmd_construct(args) -> int:
         if d is not None:
             # before the d-entry subgroup involution is built
             bound_subgroup_interpolation(d)
-        if args.sigma == "inverse":
+        if args.sigma in ("inverse", "identity"):
             if d is None:
                 raise NotADivisor(f"s = {args.s} does not divide {field.q - 1}")
-            sigma = SubgroupInvolution.inversion(d)
-        elif args.sigma == "identity":
-            if d is None:
-                raise NotADivisor(f"s = {args.s} does not divide {field.q - 1}")
-            sigma = SubgroupInvolution.identity(d)
+            sigma = (SubgroupInvolution.inversion(d) if args.sigma == "inverse"
+                     else SubgroupInvolution.identity(d))
         elif args.sigma.startswith("perm:"):
             sigma = SubgroupInvolution(_parse_ints(args.sigma[5:]))
         else:
@@ -315,19 +311,20 @@ def cmd_search(args) -> int:
     out = sys.stdout
     visited = hits = 0
     hit_docs = []
-    s_list = [s for s in divisors(q - 1)] if q > 1 else [1]
+    s_list = divisors(q - 1)
     if args.s is not None:
         if args.s not in s_list:
             raise NotADivisor(f"s = {args.s} does not divide {q - 1}")
         s_list = [args.s]
     for s in s_list:
-        d = (q - 1) // s if q > 1 else 1
-        cells = range(1, q) if q > 2 else [1]
-        for r in cells:
+        d = (q - 1) // s
+        for r in range(1, q):
             if len(grid) ** d <= args.exhaustive_limit:
-                coeff_sets = _grid_vectors(grid, d)
+                # reversed so that the first coefficient varies fastest
+                coeff_sets = (vec[::-1] for vec in itertools.product(grid, repeat=d))
             else:
-                coeff_sets = _sampled_vectors(field, d, rng, args.sample)
+                coeff_sets = (tuple(field.element(rng.randrange(q)) for _ in range(d))
+                              for _ in range(args.sample))
             for vec in coeff_sets:
                 h = SparsePoly.from_pairs(field, list(enumerate(vec)))
                 if h.is_zero:
@@ -357,26 +354,6 @@ def cmd_search(args) -> int:
     else:
         print(f"visited={visited} involutions={hits} mismatches=0", file=out)
     return 0
-
-
-def _grid_vectors(grid, d):
-    idx = [0] * d
-    while True:
-        yield tuple(grid[i] for i in idx)
-        pos = 0
-        while pos < d:
-            idx[pos] += 1
-            if idx[pos] < len(grid):
-                break
-            idx[pos] = 0
-            pos += 1
-        if pos == d:
-            return
-
-
-def _sampled_vectors(field, d, rng, count):
-    for _ in range(count):
-        yield tuple(field.element(rng.randrange(field.q)) for _ in range(d))
 
 
 def _build_parser() -> _Parser:

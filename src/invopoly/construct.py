@@ -66,8 +66,6 @@ def construct_general(field: Field, s: int, sigma: SubgroupInvolution,
     if s < 1 or (q - 1) % s:
         raise NotADivisor(f"s = {s} does not divide q-1 = {q - 1}")
     d = (q - 1) // s
-    if d % field.p == 0:
-        raise CharacteristicDividesD(f"characteristic {field.p} divides d = {d}")
     bound_subgroup_interpolation(d)
     if sigma.d != d:
         raise PreconditionViolated(f"subgroup involution has size {sigma.d}, need {d}")

@@ -65,12 +65,8 @@ class ReversalOutcome:
     root: Element | None
 
 
-def _fail(checks: list[ConditionCheck]) -> list[ConditionCheck]:
-    return [c for c in checks if not c.ok]
-
-
 def _gate(checks: list[ConditionCheck]) -> None:
-    bad = _fail(checks)
+    bad = [c for c in checks if not c.ok]
     if not bad:
         return
     root_only = [c for c in bad if c.name.startswith("h-nonzero")]
@@ -204,20 +200,17 @@ def _cond_cor_qb(ext: Field, i: int, b) -> list[ConditionCheck]:
 
 # -- palindromic family over F_{q^m} ----------------------------------------
 
-def _mirror(i: int, d: int, e: int) -> int:
-    return e - i if i <= e else d + e - i
-
-
-def _palindromic_complete(ext: Field, d: int, e: int, coeffs: dict):
-    """Fill the coefficient vector from the given positions by the mirror
-    symmetry; returns (vector, conflict position or None)."""
+def _mirror_complete(ext: Field, coeffs: dict, partner):
+    """Fill the coefficient vector from the given positions, each v at i also
+    landing as w at j for (j, w) = partner(i, v); returns (vector, conflict
+    position or None)."""
     full: dict[int, Element] = {}
     for i, v in coeffs.items():
         v = ext.element(v)
-        for j in (i, _mirror(i, d, e)):
-            if j in full and full[j] != v:
+        for j, w in ((i, v), partner(i, v)):
+            if j in full and full[j] != w:
                 return full, j
-            full[j] = v
+            full[j] = w
     return full, None
 
 
@@ -246,7 +239,7 @@ def _cond_palindromic(ext: Field, base_q: int, d: int, r: int, coeffs: dict) -> 
     checks.append(ConditionCheck("positions-in-range", in_range, f"d = {d}"))
     if not in_range:
         return checks
-    full, conflict = _palindromic_complete(ext, d, e, coeffs)
+    full, conflict = _mirror_complete(ext, coeffs, lambda i, v: ((e - i) % d, v))
     checks.append(ConditionCheck("mirror-consistent", conflict is None,
                                  f"position {conflict} assigned twice" if conflict is not None else f"e = {e}"))
     if conflict is not None:
@@ -269,7 +262,7 @@ def gen_palindromic(ext: Field, base_q: int, d: int, r: int, coeffs: dict) -> Rh
     _gate(checks)
     s = (ext.q - 1) // d
     e = ((r * r - 1) // s) % d
-    full, _ = _palindromic_complete(ext, d, e, coeffs)
+    full, _ = _mirror_complete(ext, coeffs, lambda i, v: ((e - i) % d, v))
     rhs = RhsForm(ext, r, s, SparsePoly(ext, full))
     if not check_involution(rhs).verdict:
         raise InternalMismatch("palindromic construction failed the criterion")
@@ -335,17 +328,7 @@ def _cond_reversal(ext: Field, r: int, deg: int, coeffs: dict):
     checks.append(ConditionCheck("positions-in-range", in_range, f"deg = {deg}"))
     if not (r_ok and deg_ok and in_range):
         return checks, None
-    full: dict[int, Element] = {}
-    conflict = None
-    for i, v in coeffs.items():
-        v = ext.element(v)
-        for j, w in ((i, v), (deg - i, v**q)):
-            if j in full and full[j] != w:
-                conflict = j
-                break
-            full[j] = w
-        if conflict is not None:
-            break
+    full, conflict = _mirror_complete(ext, coeffs, lambda i, v: (deg - i, v**q))
     checks.append(ConditionCheck("conjugate-mirror-consistent", conflict is None,
                                  f"position {conflict} assigned twice" if conflict is not None else ""))
     if conflict is not None:

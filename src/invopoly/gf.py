@@ -265,10 +265,6 @@ class Element:
         self.enc = enc
 
     @property
-    def encoding(self) -> int:
-        return self.enc
-
-    @property
     def coeffs(self) -> tuple[int, ...]:
         """Coefficient vector in the polynomial basis, constant term first."""
         return tuple(_digits(self.enc, self.field.p, self.field.n))
@@ -672,12 +668,7 @@ def subfield_embedding(base: Field, ext: Field):
     if base.n == 1:
         return lambda x: ext.scalar(x.enc)
     # the image of the subfield's unit group is the unique subgroup of order q_b - 1
-    gen = ext.alpha ** ((ext.q - 1) // (base.q - 1))
-    candidates = [ext.zero(), ext.one()]
-    cur = gen
-    for _ in range(base.q - 2):
-        candidates.append(cur)
-        cur = cur * gen
+    candidates = [ext.zero()] + ext.subgroup(base.q - 1)[1]
     roots = []
     for y in candidates:
         acc = ext.zero()

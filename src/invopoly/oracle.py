@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .errors import FieldTooLarge, NotAPermutation
 from .gf import Element, Field
-from .polyring import SparsePoly, interpolate_table
+from .polyring import SparsePoly, bound_full_interpolation, interpolate_table
 
 DEFAULT_CAP = 1 << 20   # largest q the oracle will sweep without being forced
 
@@ -66,16 +66,9 @@ def sweep(f: SparsePoly, cap: int = DEFAULT_CAP) -> PermReport:
     return _check_table(f.field, _capped_value_table(f, cap))
 
 
-def is_permutation(f: SparsePoly, cap: int = DEFAULT_CAP) -> PermReport:
-    return sweep(f, cap)
-
-
-def is_involution(f: SparsePoly, cap: int = DEFAULT_CAP) -> PermReport:
-    return sweep(f, cap)
-
-
 def compositional_inverse(f: SparsePoly, cap: int = DEFAULT_CAP) -> SparsePoly:
     """The reduced polynomial inducing f^{-1}; NotAPermutation otherwise."""
+    bound_full_interpolation(f.field.q)
     table = _capped_value_table(f, cap)
     report = _check_table(f.field, table)
     if not report.is_permutation:

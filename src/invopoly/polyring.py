@@ -18,7 +18,6 @@ from functools import cached_property
 from math import gcd
 
 from .errors import (
-    CharacteristicDividesD,
     FieldTooLarge,
     HasConstantTerm,
     NotADivisor,
@@ -86,9 +85,6 @@ class SparsePoly:
         for e, c in self.terms.items():
             acc = acc + c * x**e
         return acc
-
-    def __call__(self, x: Element) -> Element:
-        return self.evaluate(x)
 
     def reduce_exponents(self) -> SparsePoly:
         """Fold exponents by x^q = x; the induced function is unchanged."""
@@ -182,9 +178,6 @@ class RhsForm:
             self.field,
             ((reduce_exponent(self.r + self.s * e, q), c) for e, c in self.h.terms.items()))
 
-    def evaluate(self, x: Element) -> Element:
-        return x**self.r * self.h.evaluate(x**self.s)
-
     def __str__(self) -> str:
         return f"x^{self.r} * h(x^{self.s}) with h = {self.h}"
 
@@ -225,6 +218,13 @@ def bound_subgroup_interpolation(d: int) -> None:
         raise FieldTooLarge(f"subgroup interpolation over d = {d} exceeds {COMPOSE_LIMIT}")
 
 
+def bound_full_interpolation(q: int) -> None:
+    """Refuse interpolation over all of F_q beyond COMPOSE_LIMIT, before any
+    q-entry value table is built."""
+    if q > COMPOSE_LIMIT:
+        raise FieldTooLarge(f"full-field interpolation over q = {q} refused")
+
+
 def interpolate_on_subgroup(field: Field, values: list[Element]) -> SparsePoly:
     """The unique h of degree < d with h(omega^i) = values[i] on the d-th
     roots of unity, via the inverse discrete Fourier transform
@@ -232,8 +232,6 @@ def interpolate_on_subgroup(field: Field, values: list[Element]) -> SparsePoly:
     d = len(values)
     if d < 1 or (field.q - 1) % d:
         raise NotADivisor(f"{d} does not divide q-1 = {field.q - 1}")
-    if d % field.p == 0:
-        raise CharacteristicDividesD(f"characteristic {field.p} divides d = {d}")
     bound_subgroup_interpolation(d)
     if any(v.field != field for v in values):
         raise ValueError("elements belong to different fields")
@@ -265,8 +263,7 @@ def interpolate_table(field: Field, table: list[int]) -> SparsePoly:
     interpolate_on_subgroup, with h_0 serving k = q-1.
     """
     q = field.q
-    if q > COMPOSE_LIMIT:
-        raise FieldTooLarge(f"full-field interpolation over q = {q} refused")
+    bound_full_interpolation(q)
     if len(table) != q:
         raise ValueError(f"table must have {q} entries, got {len(table)}")
     t = [field.element(v) for v in table]
@@ -286,6 +283,7 @@ def compose_reduce(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     full-field interpolation."""
     if f.field != g.field:
         raise ValueError("polynomials live in different fields")
+    bound_full_interpolation(f.field.q)
     gt = g.value_table()
     ft = f.value_table()
     return interpolate_table(f.field, [ft[v] for v in gt])

@@ -150,6 +150,26 @@ def test_search_small_fields():
     assert "mismatches=0" in out
 
 
+def test_search_enumeration_order():
+    # the grid runs with the first coefficient of h varying fastest
+    rc, out, _ = run("search", "--field", "4")
+    assert rc == 0
+    assert out == (
+        "s=1 r=1 h=a^0 f=x fixed_points=4\n"
+        "s=1 r=1 h=x f=x^2 fixed_points=2\n"
+        "s=1 r=1 h=a^1*x f=a^1*x^2 fixed_points=2\n"
+        "s=1 r=2 h=a^0 f=x^2 fixed_points=2\n"
+        "s=1 r=2 h=a^1 f=a^1*x^2 fixed_points=2\n"
+        "s=1 r=2 h=x^2 f=x fixed_points=4\n"
+        "s=1 r=3 h=x f=x fixed_points=4\n"
+        "s=1 r=3 h=x^2 f=x^2 fixed_points=2\n"
+        "s=1 r=3 h=a^1*x^2 f=a^1*x^2 fixed_points=2\n"
+        "s=3 r=1 h=a^0 f=x fixed_points=4\n"
+        "s=3 r=2 h=a^0 f=x^2 fixed_points=2\n"
+        "s=3 r=2 h=a^1 f=a^1*x^2 fixed_points=2\n"
+        "visited=84 involutions=12 mismatches=0\n")
+
+
 def test_search_deterministic():
     rc1, out1, _ = run("search", "--field", "4", "--seed", "42")
     rc2, out2, _ = run("search", "--field", "4", "--seed", "42")

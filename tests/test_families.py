@@ -27,7 +27,6 @@ from invopoly.families import (
     FamilySpec,
     _cond_cor_qb,
     _cond_geometric,
-    _fail,
     cor_exm_case_verdict,
     cor_exm_gcd_verdict,
     check_iff_subgroup,
@@ -112,7 +111,7 @@ def test_cor_qb_sufficient_not_necessary(f9, f25):
         for i in range(1, q + 1):
             for benc in range(1, ext.q):
                 b = ext.element(benc)
-                ok = not _fail(_cond_cor_qb(ext, i, b))
+                ok = all(c.ok for c in _cond_cor_qb(ext, i, b))
                 h = SparsePoly.from_pairs(
                     ext, [(i % (q + 1), b), (q * i % (q + 1), b ** q)])
                 inv = (not h.is_zero
@@ -303,7 +302,7 @@ def test_geometric_frozen_instance(f3_8):
 def test_geometric_term_count_scan(f81):
     valid = []
     for k in range(1, 21):
-        if _fail(_cond_geometric(f81, 3, 4, 4, k)):
+        if not all(c.ok for c in _cond_geometric(f81, 3, 4, 4, k)):
             continue
         valid.append(k)
         assert _is_involution(gen_geometric(f81, 3, 4, 4, k))

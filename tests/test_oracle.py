@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from invopoly.errors import FieldTooLarge, NotAPermutation
-from invopoly.oracle import compositional_inverse, is_involution, is_permutation, sweep
+from invopoly.gf import make_field
+from invopoly.oracle import compositional_inverse, sweep
 from invopoly.polyring import SparsePoly, compose_reduce, parse_poly
 
 
@@ -63,7 +65,7 @@ def test_affine_involutions_of_f5(f5):
 def test_sweep_cap(f256):
     with pytest.raises(FieldTooLarge):
         sweep(parse_poly(f256, "x"), cap=100)
-    assert is_involution(parse_poly(f256, "x"), cap=256).is_involution
+    assert sweep(parse_poly(f256, "x"), cap=256).is_involution
 
 
 def test_compositional_inverse_rejects_non_permutations(f7):
@@ -72,10 +74,12 @@ def test_compositional_inverse_rejects_non_permutations(f7):
     assert exc.value.witness is not None
 
 
-def test_is_permutation_alias_matches_sweep(f13):
-    rng = random.Random(47)
-    for _ in range(50):
-        f = SparsePoly.from_pairs(
-            f13, [(rng.randrange(0, 13), f13.element(rng.randrange(13)))
-                  for _ in range(2)])
-        assert is_permutation(f).is_permutation == sweep(f).is_permutation
+def test_full_field_interpolation_refused_before_value_tables():
+    # over 2^18 the refused value tables alone would take most of a second
+    field = make_field(2, 18)
+    f = parse_poly(field, "x^3")
+    for call in (lambda: compose_reduce(f, f), lambda: compositional_inverse(f)):
+        start = time.perf_counter()
+        with pytest.raises(FieldTooLarge):
+            call()
+        assert time.perf_counter() - start < 0.1
