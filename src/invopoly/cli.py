@@ -35,8 +35,8 @@ from .errors import (
 )
 from .families import FAMILIES, FamilySpec, validate
 from .gf import Field, divisors, parse_field
-from .oracle import DEFAULT_CAP, PermReport, sweep
-from .polyring import RhsForm, SparsePoly, bound_subgroup_interpolation, decompose, parse_poly
+from .oracle import PermReport, sweep
+from .polyring import DEFAULT_CAP, RhsForm, SparsePoly, bound_subgroup_interpolation, decompose, parse_poly
 
 EXIT_INVOLUTION = 0
 EXIT_NOT_INVOLUTION = 1
@@ -224,7 +224,7 @@ def cmd_construct(args) -> int:
     if args.mode == "general":
         if args.s is None:
             raise ParseError("construct general needs --s")
-        d = (field.q - 1) // args.s if args.s and (field.q - 1) % args.s == 0 else None
+        d = (field.q - 1) // args.s if args.s >= 1 and (field.q - 1) % args.s == 0 else None
         if d is not None:
             # before the d-entry subgroup involution is built
             bound_subgroup_interpolation(d)

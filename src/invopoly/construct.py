@@ -10,9 +10,11 @@ and f = x^r * h(x^s) is an involution.  The n_i pick which coset of mu_d
 each coset lands in beyond the bare subgroup map, so the count of valid
 offset vectors measures how many involutions share one l.
 
-The closed forms for d = 2 and d = 3 below are the same interpolation
-with the inversion map on mu_d written out; the two corollaries fix r
-and part of the offsets in the d = 3 form over even characteristic.
+The d = 3 constructors are this recipe at the inversion of mu_3: each
+checks its own hypotheses, then interpolates; the two corollaries fix r
+and part of the offsets over q = 4^k.  The paper's explicit coefficient
+formulas for them are pinned by the tests.  The d = 2 form takes the
+values of h on mu_2 directly, under the paper's two value conditions.
 """
 
 from __future__ import annotations
@@ -108,6 +110,8 @@ def construct_d2(field: Field, r: int, a, b) -> SparsePoly:
     s = (q - 1) // 2
     if (r * r - 1) % s:
         raise RSquareCondition(f"r = {r}: r^2 - 1 not divisible by s = {s}")
+    if r < 1:
+        raise PreconditionViolated(f"r must be at least 1, got {r}")
     a = field.element(a)
     b = field.element(b)
     half = field.scalar(2).inverse()
@@ -128,8 +132,8 @@ def construct_d2(field: Field, r: int, a, b) -> SparsePoly:
 
 
 def construct_d3(field: Field, r: int, n0: int, n1: int, n2: int) -> SparsePoly:
-    """The d = 3 closed form over q = 1 (mod 3): inversion on mu_3 with
-    offsets (n0, n1, n2), written without the interpolation step."""
+    """The d = 3 form over q = 1 (mod 3): inversion on mu_3 with offsets
+    (n0, n1, n2)."""
     q = field.q
     if field.p == 3:
         raise CharacteristicDividesD("d = 3 needs characteristic away from 3")
@@ -145,23 +149,18 @@ def construct_d3(field: Field, r: int, n0: int, n1: int, n2: int) -> SparsePoly:
         bad.append("n1*r + n2")
     if bad:
         raise PreconditionViolated(f"d = 3 offset conditions failed: {', '.join(bad)} != 0 mod {s}")
-    va = field.pow_alpha(3 * n0)
-    vb = field.pow_alpha(3 * n1 + 2 - r)
-    vc = field.pow_alpha(3 * n2 + 1 - 2 * r)
-    omega = field.pow_alpha(s)
-    om2 = omega * omega
-    one = field.one()
-    two = field.scalar(2)
-    three = field.scalar(3)
-    h2 = ((two + om2) * va - (one + two * om2) * vb - (one - om2) * vc) \
-        / (three * (one - omega))
-    h1 = ((two + omega) * va - (one + two * omega) * vb - (one - omega) * vc) \
-        / (three * (one - om2))
-    h0 = (va + vb + vc) / three
-    rhs = RhsForm(field, r, s, SparsePoly.from_pairs(field, [(2, h2), (1, h1), (0, h0)]))
+    return _d3_inversion(field, r, (n0, n1, n2))
+
+
+def _d3_inversion(field: Field, r: int, offsets) -> SparsePoly:
+    """Inversion on mu_3 with the given offsets through the general
+    interpolation, self-checked and written out with r as given (the
+    exponents r, s + r and 2s + r are left unfolded)."""
+    s = (field.q - 1) // 3
+    rhs = _interpolate_from_sigma(field, s, SubgroupInvolution.inversion(3), r, offsets)
     if not check_involution(rhs).verdict:
         raise InternalMismatch("d = 3 construction failed the involution criterion")
-    return SparsePoly.from_pairs(field, [(2 * s + r, h2), (s + r, h1), (r, h0)])
+    return SparsePoly.from_pairs(field, ((k * s + r, c) for k, c in rhs.h.terms.items()))
 
 
 def _require_even_square(field: Field) -> None:
@@ -173,38 +172,18 @@ def construct_cor_r1(field: Field, n1: int) -> SparsePoly:
     """d = 3, r = 1 over q = 4^k: offsets (0, n1, -n1) collapse to the one
     free parameter beta = alpha^{3*n1 + 1}."""
     _require_even_square(field)
-    q = field.q
-    s = (q - 1) // 3
-    beta = field.pow_alpha(3 * n1 + 1)
-    omega = field.pow_alpha(s)
-    om2 = omega * omega
-    binv = beta.inverse()
-    one = field.one()
-    h2 = one + omega * beta + om2 * binv
-    h1 = one + om2 * beta + omega * binv
-    h0 = one + beta + binv
-    rhs = RhsForm(field, 1, s, SparsePoly.from_pairs(field, [(2, h2), (1, h1), (0, h0)]))
-    if not check_involution(rhs).verdict:
-        raise InternalMismatch("r = 1 closed form failed the involution criterion")
-    return SparsePoly.from_pairs(
-        field, [((2 * q + 1) // 3, h2), ((q + 2) // 3, h1), (1, h0)])
+    s = (field.q - 1) // 3
+    return _d3_inversion(field, 1, (0, n1, -n1 % s))
 
 
 def construct_cor_rq43(field: Field, n0: int, n1: int) -> SparsePoly:
     """d = 3, r = (q-4)/3 over q = 4^k: here r + 1 = s, so every offset
-    pair (n0, n1) in Z_s x Z_s is admissible."""
+    pair (n0, n1) in Z_s x Z_s is admissible, with n2 = n1."""
     _require_even_square(field)
-    q = field.q
-    s = (q - 1) // 3
-    r = (q - 4) // 3
-    h2 = field.pow_alpha(3 * n0)
-    h0 = h2 + field.pow_alpha(3 * (n1 + 1))
-    f = SparsePoly.from_pairs(field, [(q - 2, h2), ((2 * q - 5) // 3, h0), (r, h0)])
-    if r >= 1:
-        rhs = RhsForm(field, r, s, SparsePoly.from_pairs(field, [(2, h2), (1, h0), (0, h0)]))
-        ok = check_involution(rhs).verdict
-    else:
-        ok = sweep(f).is_involution is True
-    if not ok:
+    if field.q > 4:
+        return _d3_inversion(field, (field.q - 4) // 3, (n0, n1, n1))
+    # q = 4: r = 0 has no index form; h2 = 1 and h1 = h0 = 0 leave x^2
+    f = SparsePoly.from_pairs(field, [(2, field.one())])
+    if sweep(f).is_involution is not True:
         raise InternalMismatch("r = (q-4)/3 closed form failed the involution check")
     return f

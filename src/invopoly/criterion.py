@@ -19,7 +19,7 @@ evaluated by Horner's rule, lazily and at most once per point of mu_d for
 each RhsForm: the values are memoised on the form, so check_involution
 (which also needs h(g(z)), again a point of mu_d) and check_permutation
 on the same form share them.  A decision therefore costs at most d
-evaluations of h, never q, and a walk over d > oracle.DEFAULT_CAP points
+evaluations of h, never q, and a walk over d > polyring.DEFAULT_CAP points
 is refused with FieldTooLarge before it starts.  g_map and phi_map are
 the same maps on single Elements, for callers and tests.
 """
@@ -37,8 +37,7 @@ from .errors import (
     RSquareCondition,
 )
 from .gf import Element, Field
-from .oracle import DEFAULT_CAP
-from .polyring import RhsForm, SparsePoly
+from .polyring import DEFAULT_CAP, RhsForm, SparsePoly
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ def _walk(field: Field, d: int, h: SparsePoly, memo: dict[int, int]):
     yields the encodings (z, h(z)) for z = omega^0, omega^1, ...,
     omega^{d-1}, one at a time, so a caller that stops at its first failing
     z evaluates h no further.  h_at looks each point up in memo first and
-    stores what it computes there.  d above the oracle's DEFAULT_CAP is
+    stores what it computes there.  d above DEFAULT_CAP is
     refused (FieldTooLarge) before any point is visited.
     """
     if d > DEFAULT_CAP:

@@ -10,9 +10,7 @@ from dataclasses import dataclass
 
 from .errors import FieldTooLarge, NotAPermutation
 from .gf import Element, Field
-from .polyring import SparsePoly, bound_full_interpolation, interpolate_table
-
-DEFAULT_CAP = 1 << 20   # largest q the oracle will sweep without being forced
+from .polyring import DEFAULT_CAP, SparsePoly, bound_full_interpolation, interpolate_table
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .gf import Element, Field
 
 VALUE_TABLE_LIMIT = 1 << 24   # refuse full value tables beyond this q
 COMPOSE_LIMIT = 1 << 11       # full-field interpolation is quadratic in q
+DEFAULT_CAP = 1 << 20         # largest q the oracle sweeps, largest d the criterion walks
 
 
 def reduce_exponent(e: int, q: int) -> int:

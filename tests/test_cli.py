@@ -253,6 +253,21 @@ def test_precondition_exit_codes():
     assert "RSquareCondition" in err
 
 
+
+@pytest.mark.parametrize("argv, error", [
+    # r < 1 used to crash inside SparsePoly (exit 4) or divide by zero
+    (("construct", "d2", "--field", "7", "--r", "-1", "--a", "1", "--b", "1"),
+     "PreconditionViolated: r must be at least 1"),
+    (("construct", "d2", "--field", "7", "--r", "-1", "--a", "0", "--b", "1"),
+     "PreconditionViolated: r must be at least 1"),
+    # a negative divisor of q - 1 used to reach SubgroupInvolution as d = -3
+    (("construct", "general", "--field", "7", "--s", "-2"), "NotADivisor: s = -2"),
+], ids=["d2-r-1", "d2-r-1-a0", "general-s-2"])
+def test_construct_bad_r_and_s_are_preconditions(argv, error, capsys):
+    assert cli.main(list(argv)) == 3
+    assert error in capsys.readouterr().err
+
+
 PRECONDITION_ERRORS = {
     "PreconditionViolated", "HypothesisViolated", "RSquareCondition", "NotADivisor",
     "WrongFieldShape", "EvenQNoSolution", "BaseNotInvolution", "HValueZero",

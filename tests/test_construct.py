@@ -3,7 +3,9 @@ and the failure direction (bad parameters must be refused)."""
 
 from __future__ import annotations
 
+import itertools
 import random
+from math import comb, gcd, prod
 
 import pytest
 
@@ -31,7 +33,7 @@ from invopoly.errors import (
     RSquareCondition,
 )
 from invopoly.oracle import sweep
-from invopoly.polyring import parse_poly
+from invopoly.polyring import RhsForm, SparsePoly, parse_poly
 
 
 def _is_involution(f):
@@ -146,20 +148,94 @@ def test_d3_counts_and_equivalence_with_general(f7, f13, f16):
         assert wins == frozen[q], (q, wins)
 
 
-def test_d3_closed_form_matches_general_interpolation(f13):
-    # the inverse permutation on mu_3 with offsets (n0, n1, -n1)
-    s = 4
-    for r in involutory_exponents(s):
-        for n0 in fixed_point_choices(s, r):
-            for n1 in range(s):
-                n2 = partner_offset(s, r, n1)
-                try:
-                    f = construct_d3(f13, r, n0, n1, n2)
-                except PreconditionViolated:
+def _paper_form(field, r, h2, h1, h0):
+    s = (field.q - 1) // 3
+    return SparsePoly.from_pairs(field, [(2 * s + r, h2), (s + r, h1), (r, h0)])
+
+
+def test_d3_forms_match_paper_formulas(f7, f13, f16, f64):
+    # the paper's explicit coefficients, with omega = alpha^s, as the
+    # reference for the interpolation the library runs
+    for field in (f7, f13, f16):
+        s = (field.q - 1) // 3
+        one, two, three = field.one(), field.scalar(2), field.scalar(3)
+        w = field.pow_alpha(s)
+        w2 = w * w
+        for r in involutory_exponents(s):
+            for n0, n1, n2 in itertools.product(range(s), repeat=3):
+                if n0 * (r + 1) % s or (n1 * r + n2) % s:
                     continue
-                rhs = construct_general(f13, s, SubgroupInvolution.inversion(3),
-                                        r, [n0, n1, n2])
-                assert f.value_table() == rhs.expand().value_table()
+                va = field.pow_alpha(3 * n0)
+                vb = field.pow_alpha(3 * n1 + 2 - r)
+                vc = field.pow_alpha(3 * n2 + 1 - 2 * r)
+                h2 = ((two + w2) * va - (one + two * w2) * vb - (one - w2) * vc) \
+                    / (three * (one - w))
+                h1 = ((two + w) * va - (one + two * w) * vb - (one - w) * vc) \
+                    / (three * (one - w2))
+                h0 = (va + vb + vc) / three
+                assert construct_d3(field, r, n0, n1, n2) == \
+                    _paper_form(field, r, h2, h1, h0), (field.q, r, n0, n1, n2)
+    for field in (f16, f64):
+        s = (field.q - 1) // 3
+        one = field.one()
+        w = field.pow_alpha(s)
+        w2 = w * w
+        for n1 in range(s):
+            beta = field.pow_alpha(3 * n1 + 1)
+            binv = beta.inverse()
+            assert construct_cor_r1(field, n1) == _paper_form(
+                field, 1, one + w * beta + w2 * binv, one + w2 * beta + w * binv,
+                one + beta + binv), (field.q, n1)
+        for n0, n1 in itertools.product(range(s), repeat=2):
+            h2 = field.pow_alpha(3 * n0)
+            h0 = h2 + field.pow_alpha(3 * (n1 + 1))
+            assert construct_cor_rq43(field, n0, n1) == \
+                _paper_form(field, s - 1, h2, h0, h0), (field.q, n0, n1)
+
+
+def _involutions(d):
+    return [p for p in itertools.permutations(range(d)) if all(p[p[i]] == i for i in range(d))]
+
+
+def test_encoder_is_complete_and_injective(f2, f3, f4, f5, f7, f8, f9, f11, f13, f16):
+    # for small (q, s, r), three counts of involutions x^r * h(x^s) agree:
+    # the oracle's over every nonzero h of degree < d, the closed count
+    # N = sum_k C(d,2k) (2k-1)!! s^k gcd(r+1,s)^(d-2k), and the distinct h
+    # construct_general returns over every involution of mu_d and every
+    # admissible offset vector
+    cases = 0
+    for field in (f2, f3, f4, f5, f7, f8, f9, f11, f13, f16):
+        q = field.q
+        for s in [t for t in range(1, q) if (q - 1) % t == 0]:
+            d = (q - 1) // s
+            if q**d > 2000:
+                continue
+            for r in involutory_exponents(s):
+                oracle = set()
+                for coeffs in itertools.product(list(field.elements()), repeat=d):
+                    h = SparsePoly(field, dict(enumerate(coeffs)))
+                    if not h.is_zero and _is_involution(RhsForm(field, r, s, h).expand()):
+                        oracle.add(h)
+                g = gcd(r + 1, s)
+                n = sum(comb(d, 2 * k) * prod(range(1, 2 * k, 2)) * s**k * g**(d - 2 * k)
+                        for k in range(d // 2 + 1))
+                built = set()
+                for mapping in _involutions(d):
+                    sigma = SubgroupInvolution(mapping)
+                    free = [i for i in range(d) if mapping[i] >= i]
+                    choices = [fixed_point_choices(s, r) if mapping[i] == i else range(s)
+                               for i in free]
+                    for picked in itertools.product(*choices):
+                        offsets = [0] * d
+                        for i, n_i in zip(free, picked):
+                            offsets[i] = n_i
+                            if mapping[i] != i:
+                                offsets[mapping[i]] = partner_offset(s, r, n_i)
+                        built.add(construct_general(field, s, sigma, r, offsets).h)
+                assert len(oracle) == n == len(built), (q, s, r)
+                assert oracle == built, (q, s, r)
+                cases += 1
+    assert cases == 37
 
 
 def test_d3_rejections(f5, f9):

@@ -23,3 +23,17 @@ def test_module_level_imports_are_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_criterion_does_not_import_oracle():
+    # the oracle referees the criterion, so neither may lean on the other
+    tree = ast.parse((SRC / "criterion.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+            if not node.module or node.module == "invopoly":
+                modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    assert not {m for m in modules if m.split(".")[-1] == "oracle"}, sorted(modules)
