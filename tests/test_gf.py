@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invopoly import gf
 from invopoly.errors import (
     DivisionByZero,
     NotADivisor,
@@ -185,6 +186,58 @@ def test_table_free_arithmetic_matches_tables(table_free):
             for b in range(fast.q):
                 assert x * slow.element(b) == y * fast.element(b)
                 assert x + slow.element(b) == y + fast.element(b)
+
+
+def _exhaust_times(p, n, mul):
+    q = p**n
+    for c in range(q):
+        times = gf._times(p, n, mul, c)
+        assert [times(a) for a in range(q)] == [mul(a, c) for a in range(q)], (p, n, c)
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (2, 2), (3, 2), (2, 6), (2, 8), (3, 4), (5, 3), (7, 3)])
+def test_times_matches_kernel_mul_for_every_pair(p, n):
+    # the chunk-table multiply by a fixed c against the general kernel
+    # multiply, for every a and every c
+    field = make_field(p, n)
+    _exhaust_times(p, n, gf._kernel(p, n, field.modulus)[1])
+
+
+def test_times_matches_table_free_mul(table_free):
+    for field in table_free:
+        _exhaust_times(field.p, field.n, field.mul)
+
+
+@pytest.mark.parametrize("p, n", [(2, 17), (3, 11), (5, 7), (7, 6),
+                                  # past the two-chunk fast paths: three chunks
+                                  # (2^25, 67^3) and four digit groups (3^14)
+                                  (2, 25), (67, 3), (3, 14)])
+def test_times_matches_kernel_mul_above_table_limit(p, n):
+    field = make_field(p, n)
+    assert field._log is None   # field.mul is the kernel's
+    rng = random.Random(p * 100 + n)
+    sample = [0, 1, field.q - 1] + [rng.randrange(field.q) for _ in range(2000)]
+    alpha = field.alpha.enc
+    for c in (1, p - 1, alpha, field.pow(alpha, rng.randrange(2, field.q - 1))):
+        times = gf._times(p, n, field.mul, c)
+        assert [times(a) for a in sample] == [field.mul(a, c) for a in sample], c
+
+
+@pytest.mark.parametrize("p, n", [(2, 8), (2, 12), (3, 5), (3, 8), (5, 4), (7, 3), (13, 1)])
+def test_tables_match_a_kernel_walk(p, n):
+    field = make_field(p, n)
+    add, mul, _ = gf._kernel(p, n, field.modulus)
+    exp, x = [], 1
+    for _ in range(field.q - 1):
+        exp.append(x)
+        x = mul(x, field.alpha.enc)
+    assert x == 1 and field._exp == exp
+    log = [-1] * field.q
+    for k, x in enumerate(exp):
+        log[x] = k
+    assert field._log == log
+    # 1 + alpha^k reads Zech entry k in odd extensions
+    assert [field.add(1, x) for x in exp] == [add(1, x) for x in exp]
 
 
 def test_subgroup_structure(f7, f64):

@@ -83,3 +83,24 @@ def test_full_field_interpolation_refused_before_value_tables():
         with pytest.raises(FieldTooLarge):
             call()
         assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("p, n", [(7, 6), (2, 18)])
+def test_frobenius_involution_above_table_limit(p, n):
+    # x^(p^(n/2)) is the Frobenius involution of F_(p^n); it fixes exactly
+    # the subfield of order p^(n/2)
+    field = make_field(p, n)
+    assert field._log is None
+    report = sweep(parse_poly(field, f"x^{p ** (n // 2)}"))
+    assert report.is_permutation and report.is_involution
+    assert report.fixed_point_count == p ** (n // 2)
+
+
+def test_value_table_above_table_limit_matches_evaluate():
+    field = make_field(5, 7)
+    assert field._log is None
+    f = parse_poly(field, "a^3*x^7 + 2*x^2")
+    table = f.value_table()
+    rng = random.Random(57)
+    for enc in [0, 1] + [rng.randrange(field.q) for _ in range(300)]:
+        assert table[enc] == f.evaluate(field.element(enc)).enc
