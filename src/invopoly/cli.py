@@ -420,6 +420,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if getattr(args, "cap", 0) < 0:   # before any field is built
+            raise ParseError(f"--cap must be non-negative, got {args.cap}")
         return args.func(args)
     except AlgebraError as exc:
         print(f"error: {exc.cli_message()}", file=sys.stderr)

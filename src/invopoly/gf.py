@@ -12,18 +12,24 @@ computed only when asked for.  Each field does its arithmetic on
 encodings through one kernel (add, mul and pow; neg multiplies by -1)
 picked when the field is made: integer arithmetic mod p for prime fields,
 carry-less multiply for characteristic 2, digit-wise arithmetic for odd
-extensions.  Walks over the powers of the primitive element alpha (the
-element of smallest encoding whose order is q - 1) step by _times, a
-chunk-table multiply by alpha built from the kernel mul.  For q up to
-TABLE_LIMIT that walk fills exp/log tables when the field is made (3^8
-in about 6 ms, 2^16 in 19 ms, 3^10 in 46 ms; Python 3.11, 2-vCPU host),
-mul and pow become lookups and odd extensions add by Zech logarithms.
-Above TABLE_LIMIT the kernel serves every operation with identical
-results, value tables walk alpha the same way (1-1.5 us per element at
-3^11, 5^7 and 7^6), and discrete logs (the k printed in 'a^k') go by
-Pohlig-Hellman over the prime factors of q - 1, found once per field, with
-one baby-step giant-step table of about sqrt(l) entries per prime l,
-built on first use and kept on the field.
+extensions.  The kernel mul is the only general multiply.  Multiplying by
+a fixed element and the Frobenius map a -> a^p are F_p-linear, so both are
+lookups in chunk tables that _linear_map builds from their images.  Walks
+over the powers of the primitive element alpha (the element of smallest
+encoding whose order is q - 1) step by _times, the multiply by alpha.  For
+q up to TABLE_LIMIT that walk fills exp/log tables when the field is made
+(3^8 in about 4 ms, 2^16 in 15 ms, 3^10 in 45 ms; Python 3.11, shared
+2-vCPU host), mul and pow become lookups and odd extensions add by Zech
+logarithms.  Above TABLE_LIMIT the kernel adds and multiplies with
+identical results.  There pow, in extensions of degree n > 2, walks the
+base-p digits of the exponent: each conjugate a^(p^j) is one lookup in a
+Frobenius table built on the first power, and only nonzero digits cost a
+kernel mul (about 40 us per power at 2^20 and 150 us at 3^12, against 105
+and 470 us by square-and-multiply).  Value tables walk alpha through
+_times (1-1.5 us per element at 3^11, 5^7 and 7^6), and discrete logs (the
+k printed in 'a^k') go by Pohlig-Hellman over the prime factors of q - 1,
+found once per field, with one baby-step giant-step table of about sqrt(l)
+entries per prime l, built on first use and kept on the field.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .errors import (
 
 ENCODING_LIMIT = 1 << 31   # fields with q above this are rejected outright
 TABLE_LIMIT = 1 << 16      # fields up to this q get exp/log tables
-_LOOKUP_BITS = 12          # _times keeps its lookup tables near 2^12 entries
+_LOOKUP_BITS = 12          # _linear_map keeps its lookup tables near 2^12 entries
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -123,12 +129,13 @@ def _digits(enc: int, p: int, n: int) -> list[int]:
 
 def _pow_by_squaring(mul):
     def pow_(a: int, e: int) -> int:
-        r = 1
-        while e:
-            if e & 1:
+        if not e:
+            return 1
+        r = a
+        for bit in bin(e)[3:]:   # left to right, below the leading 1
+            r = mul(r, r)
+            if bit == "1":
                 r = mul(r, a)
-            a = mul(a, a)
-            e >>= 1
         return r
     return pow_
 
@@ -196,27 +203,26 @@ def _odd_extension_kernel(p: int, n: int, modulus: tuple[int, ...]):
     return add, mul, _pow_by_squaring(mul)
 
 
-def _times(p: int, n: int, mul, c: int):
-    """enc -> enc * c on encodings for a fixed c, by lookups in tables built
-    with the kernel mul (the multiply by a constant of Shoup, CRYPTO 1996).
+def _linear_map(p: int, n: int, images: Sequence[int]):
+    """The F_p-linear map on encodings (n > 1) that sends x^i to images[i],
+    as lookups in chunk tables (the multiply by a constant of Shoup, CRYPTO
+    1996, for any linear map).
 
-    The map is F_p-linear: an encoding's image is the sum of the images of
-    its m chunks of k digits, from tables of p^k <= 2^_LOOKUP_BITS entries
-    (p if p is larger), m the fewest such chunks but at least two in odd
-    extensions, where an entry costs n digit operations.  Characteristic 2
-    XORs one or two images.  Otherwise images are stored spread, w =
-    bitlen(m*(p-1)) bits per digit, to add as integers with no carry
-    between digits; tables of 2^(g*w) entries, at most 2^_LOOKUP_BITS (or
-    2^w) and not much more than q, map each group of g spread digits to its
-    residues mod p at its base-p place.  Up to 16 elements mul serves.
+    An encoding's image is the sum of the images of its m chunks of k
+    digits, from tables of p^k <= 2^_LOOKUP_BITS entries (p if p is larger),
+    m the fewest such chunks but at least two in odd extensions.
+    Characteristic 2 XORs one or two images.  Otherwise images are stored
+    spread, w = bitlen(m*(p-1)) bits per digit, to add as integers with no
+    carry between digits; tables of 2^(g*w) entries, at most 2^_LOOKUP_BITS
+    (or 2^w) and not much more than q, map each group of g spread digits to
+    its residues mod p at its base-p place.  A chunk table is built one
+    digit at a time, each entry a spread sum of two entries brought back
+    below p in every lane at once, so no entry costs a per-digit loop.
     """
-    if n == 1 or p**n <= 16:   # where tables would cost more than they save
-        return (lambda a: a * c % p) if n == 1 else lambda a: mul(a, c)
     m = 1 if p == 2 else 2
     while m < n and p ** -(-n // m) > 1 << _LOOKUP_BITS:
         m += 1
     k = -(-n // m)
-    images = [mul(p**i, c) for i in range(n)]
     if p == 2 and m <= 2:
         ts = [[0], [0]]
         for i, img in enumerate(images):
@@ -224,31 +230,92 @@ def _times(p: int, n: int, mul, c: int):
         (t0, t1), mask = ts, (1 << k) - 1
         return t0.__getitem__ if m == 1 else lambda a: t0[a & mask] ^ t1[a >> k]
     w = (m * (p - 1)).bit_length()
-    place = [1 << w * i for i in range(n)]
-    rows = [[[0] * n] for _ in range(m)]   # per chunk, its images' digit lists
+    # split into even and odd lanes, each lane has w spare bits above it:
+    # adding 2^w - p sets bit w exactly where a lane (at most 2(p-1)) is >= p
+    ones = sum(1 << 2 * w * j for j in range(-(-n // 2)))
+    even, bias = ones * ((1 << w) - 1), ones * ((1 << w) - p)
+
+    def reduce(s: int) -> int:
+        e, o = s & even, s >> w & even
+        return e - (e + bias >> w & ones) * p + (o - (o + bias >> w & ones) * p << w)
+
+    tables = [[0] for _ in range(m)]
     for i, img in enumerate(images):
-        img = _digits(img, p, n)
-        rows[i // k] = [[(x + d * y) % p for x, y in zip(row, img)]
-                        for d in range(p) for row in rows[i // k]]
-    tables = [[sum(map(operator.mul, row, place)) for row in chunk] for chunk in rows]
+        mults = [sum(c << w * j for j, c in enumerate(_digits(img, p, n)))]
+        for _ in range(p - 2):
+            mults.append(reduce(mults[-1] + mults[0]))
+        t = tables[i // k]
+        tables[i // k] = t + [reduce(x + y) if x else y for y in mults for x in t]
     g = max(1, min(_LOOKUP_BITS, (p**n).bit_length()) // w)
     g = -(-n // -(-n // g))   # the same groups, balanced
     reds = [[0] for _ in range(0, n, g)]
     for i in range(n):
-        reds[i // g] = [r + x % p * p**i for x in range(1 << w) for r in reds[i // g]]
+        place = p**i
+        reds[i // g] = [r + v for v in [x % p * place for x in range(1 << w)]
+                        for r in reds[i // g]]
     P, gw, gw2, gmask = p**k, g * w, 2 * g * w, (1 << g * w) - 1
     if m == 2 and len(reds) <= 3:
         (t0, t1), (r0, r1, r2) = tables, reds + [[0]] * (3 - len(reds))
 
-        def times(a: int) -> int:
+        def apply(a: int) -> int:
             s = t0[a % P] + t1[a // P]
             return r0[s & gmask] + r1[s >> gw & gmask] + r2[s >> gw2]
-        return times
+        return apply
 
-    def times(a: int) -> int:   # any number of chunks and groups
+    def apply(a: int) -> int:   # any number of chunks and groups
         s = sum(t[a // P**j % P] for j, t in enumerate(tables))
         return sum(red[s >> gw * j & gmask] for j, red in enumerate(reds))
-    return times
+    return apply
+
+
+def _times(p: int, n: int, mul, c: int):
+    """enc -> enc * c on encodings for a fixed c: the linear map with images
+    x^i * c from the kernel mul, or mul itself up to 16 elements, where
+    tables would cost more than they save."""
+    if n == 1 or p**n <= 16:
+        return (lambda a: a * c % p) if n == 1 else lambda a: mul(a, c)
+    return _linear_map(p, n, [mul(p**i, c) for i in range(n)])
+
+
+def _frobenius(p: int, n: int, mul, pow_):
+    """a -> a^p on encodings (n > 1): the linear map with images x^(i*p),
+    from the kernel mul and pow_."""
+    images, xp = [1], pow_(p, p)   # p encodes x
+    for _ in range(n - 1):
+        images.append(mul(images[-1], xp))
+    return _linear_map(p, n, images)
+
+
+def _digit_pow(p: int, n: int, mul, pow_):
+    """(a, e) -> a^e on encodings (n > 1, e < q) by the base-p digits e_j of
+    e (Itoh and Tsujii, Inf. Comput. 1988): a^e = prod_j (a^(p^j))^e_j, each
+    conjugate a^(p^j) one lookup in the Frobenius table (built on the first
+    call) from the last.  Conjugates under equal digits are multiplied
+    first; the products B_v are joined as prod_i A_i^(v_i - v_(i+1)) over the
+    digits v_1 > v_2 > ... present, A_i = B_(v_1) ... B_(v_i) (Yao, SIAM J.
+    Comput. 1976): p = 2 costs one kernel mul per nonzero digit past the first."""
+    frob = None
+
+    def digit_pow(a: int, e: int) -> int:
+        nonlocal frob
+        if frob is None:
+            frob = _frobenius(p, n, mul, pow_)
+        groups: dict[int, int] = {}
+        while True:
+            e, v = divmod(e, p)
+            if v:
+                groups[v] = mul(groups[v], a) if v in groups else a
+            if not e:
+                break
+            a = frob(a)
+        r = acc = 0
+        vs = sorted(groups, reverse=True)
+        for v, u in zip(vs, vs[1:] + [0]):
+            acc = mul(acc, groups[v]) if acc else groups[v]
+            t = pow_(acc, v - u) if v - u > 1 else acc
+            r = mul(r, t) if r else t
+        return r or 1
+    return digit_pow
 
 
 # -- modulus search ----------------------------------------------------------
@@ -411,6 +478,8 @@ class Field:
         self._alpha_enc = _find_primitive(self)
         if self.q <= TABLE_LIMIT:
             self._use_tables()
+        elif n > 2:   # at n = 2, p > 256: the table costs more than one conjugate saves
+            self._pow = _digit_pow(p, n, self.mul, self._pow)
 
     def _use_tables(self) -> None:
         """Walk the powers of alpha once, through the chunk-table multiply
@@ -555,9 +624,11 @@ class Field:
 
         A lookup when the field has tables.  Otherwise Pohlig-Hellman: for
         each prime power l^e exactly dividing q - 1, x^((q-1)/l^e) lies in
-        the subgroup of order l^e, where its log is found one base-l digit
-        at a time, each digit a baby-step giant-step search in the subgroup
-        of order l; the Chinese remainder theorem joins the residues mod l^e.
+        the subgroup of order l^e (the projections, see _projections), where
+        its log is found one base-l digit at a time, each digit a baby-step
+        giant-step search in the subgroup of order l; the Chinese remainder
+        theorem joins the residues mod l^e.  Every power is the field's pow,
+        by base-p digits through the Frobenius table in extension fields.
         """
         if x.is_zero:
             raise DivisionByZero("discrete log of zero")
@@ -565,11 +636,11 @@ class Field:
             return self._log[x.enc]
         qm1 = self.q - 1
         k = 0
-        for prime, mult in self._factors:
-            order = prime**mult
+        orders = [prime**mult for prime, mult in self._factors]
+        for (prime, mult), order, y in zip(self._factors, orders,
+                                           self._projections(x.enc, orders)):
             cofactor = qm1 // order
             # y = g^(k mod order) for g = alpha^cofactor, of order prime^mult
-            y = self.pow(x.enc, cofactor)
             baby, giant, m, g_inv = self._dlog_table(prime, cofactor)
             residue, place = 0, 1
             for j in range(mult - 1, -1, -1):
@@ -589,6 +660,19 @@ class Field:
                 place *= prime
             k += residue * cofactor * pow(cofactor, -1, order)
         return k % qm1
+
+    def _projections(self, x: int, orders: list[int]) -> list[int]:
+        """x^(N/o) for each o in orders, N their product: one power each for
+        up to three orders, else by a product tree, each half raising x to
+        the other half's product first (a quarter to a third faster at 2^18,
+        2^20 and 3^12, with four or five orders)."""
+        if len(orders) <= 3:
+            total = math.prod(orders)
+            return [self.pow(x, total // o) for o in orders]
+        h = len(orders) // 2
+        low, high = orders[:h], orders[h:]
+        return (self._projections(self.pow(x, math.prod(high)), low)
+                + self._projections(self.pow(x, math.prod(low)), high))
 
     def _dlog_table(self, prime: int, cofactor: int) -> tuple[dict[int, int], int, int, int]:
         """Search data for a prime factor of q - 1, built on first use and

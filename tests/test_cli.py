@@ -220,6 +220,9 @@ def test_input_error_exit_codes():
         rc, _, err = run("search", "--field", "9", *counts)
         assert rc == 4
         assert "ParseError" in err
+    rc, out, err = run("verify", "--field", "7", "--poly", "2*x", "--cap", "-5")
+    assert rc == 4 and out == ""
+    assert "ParseError: --cap must be non-negative" in err
 
 
 @pytest.mark.parametrize("argv, limit", [
@@ -266,6 +269,32 @@ def test_precondition_exit_codes():
 def test_construct_bad_r_and_s_are_preconditions(argv, error, capsys):
     assert cli.main(list(argv)) == 3
     assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("construct", "general", "--field", "7", "--s", "2", "--r", "100000000000000000001"),
+     0, None),
+    (("construct", "general", "--field", "7", "--s", "100000000000000000000", "--r", "1"),
+     3, "NotADivisor"),
+    (("construct", "d3", "--field", "7", "--r", "1", "--n0", "100000000000000000000"), 0, None),
+    (("construct", "general", "--field", "7", "--s", "2", "--r", "1", "--n", "0,0"),
+     3, "need 3 offsets, got 2"),
+    (("construct", "general", "--field", "7", "--s", "2", "--sigma", "perm:1,0", "--r", "1"),
+     3, "size 2, need 3"),
+    (("verify", "--field", "7", "--poly", "2*x", "--s", "100000000000000000000"),
+     3, "NotADivisor"),
+], ids=["general-huge-r", "general-huge-s", "d3-huge-n0", "general-short-n",
+        "general-short-sigma", "verify-huge-s"])
+def test_huge_and_misshapen_arguments_are_bounded(argv, code, message, capsys):
+    # huge --r, --s and --n0 reduce mod s or fail the divisor check, and
+    # offset and --sigma lists of the wrong length are refused, all at once
+    start = time.perf_counter()
+    rc = cli.main(list(argv))
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert (message in err) if message else err == ""
+    assert elapsed < 0.5
 
 
 PRECONDITION_ERRORS = {

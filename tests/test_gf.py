@@ -223,6 +223,60 @@ def test_times_matches_kernel_mul_above_table_limit(p, n):
         assert [times(a) for a in sample] == [field.mul(a, c) for a in sample], c
 
 
+def _square_and_multiply(mul, a, e):
+    r = 1
+    while e:
+        if e & 1:
+            r = mul(r, a)
+        a = mul(a, a)
+        e >>= 1
+    return r
+
+
+@pytest.mark.parametrize("p, n", [(2, 17), (2, 18), (2, 20), (3, 11), (3, 12), (5, 7), (7, 6),
+                                  (67, 3), (2, 25), (3, 14)])
+def test_pow_by_digits_matches_square_and_multiply(p, n):
+    # above TABLE_LIMIT pow walks the base-p digits of e through the
+    # Frobenius table; field.mul is the kernel's, so the reference is
+    # independent of that walk
+    field = make_field(p, n)
+    assert field._log is None
+    q, rng = field.q, random.Random(p * 1000 + n)
+    pairs = [(rng.randrange(1, q), rng.randrange(q - 1)) for _ in range(200)]
+    edges = (0, 1, p, p**2, p ** (n // 2), p ** (n - 1), q - 2)
+    pairs += [(a, e) for a in (1, field.alpha.enc, q - 1, rng.randrange(2, q)) for e in edges]
+    for a, e in pairs:
+        assert field.pow(a, e) == _square_and_multiply(field.mul, a, e), (a, e)
+
+
+def test_frobenius_table_matches_kernel_pow(table_free):
+    for field in table_free:
+        if field.n == 1:
+            continue
+        p, q = field.p, field.q
+        _, mul, pow_ = gf._kernel(p, field.n, field.modulus)
+        frob = gf._frobenius(p, field.n, mul, pow_)
+        expected = [pow_(a, p) for a in range(q)]
+        assert [frob(a) for a in range(q)] == expected
+        assert [field.pow(a, p) for a in range(1, q)] == expected[1:]
+
+
+@pytest.fixture(scope="module")
+def digit_pow_fields():
+    return [make_field(2, 18), make_field(3, 11)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_pow_by_digits_obeys_power_laws(digit_pow_fields, data):
+    field = data.draw(st.sampled_from(digit_pow_fields))
+    qm1 = field.q - 1
+    a = data.draw(st.integers(1, qm1))
+    e1, e2 = data.draw(st.integers(0, qm1 - 1)), data.draw(st.integers(0, qm1 - 1))
+    assert field.pow(a, e1 + e2) == field.mul(field.pow(a, e1), field.pow(a, e2))
+    assert field.pow(field.pow(a, e1), e2) == field.pow(a, e1 * e2 % qm1)
+
+
 @pytest.mark.parametrize("p, n", [(2, 8), (2, 12), (3, 5), (3, 8), (5, 4), (7, 3), (13, 1)])
 def test_tables_match_a_kernel_walk(p, n):
     field = make_field(p, n)
