@@ -624,11 +624,11 @@ class Field:
 
         A lookup when the field has tables.  Otherwise Pohlig-Hellman: for
         each prime power l^e exactly dividing q - 1, x^((q-1)/l^e) lies in
-        the subgroup of order l^e (the projections, see _projections), where
-        its log is found one base-l digit at a time, each digit a baby-step
-        giant-step search in the subgroup of order l; the Chinese remainder
-        theorem joins the residues mod l^e.  Every power is the field's pow,
-        by base-p digits through the Frobenius table in extension fields.
+        the subgroup of order l^e, where its log is found one base-l digit
+        at a time, each digit a baby-step giant-step search in the subgroup
+        of order l; the Chinese remainder theorem joins the residues mod l^e.
+        Every power is the field's pow, by base-p digits through the
+        Frobenius table in extension fields.
         """
         if x.is_zero:
             raise DivisionByZero("discrete log of zero")
@@ -636,11 +636,11 @@ class Field:
             return self._log[x.enc]
         qm1 = self.q - 1
         k = 0
-        orders = [prime**mult for prime, mult in self._factors]
-        for (prime, mult), order, y in zip(self._factors, orders,
-                                           self._projections(x.enc, orders)):
+        for prime, mult in self._factors:
+            order = prime**mult
             cofactor = qm1 // order
             # y = g^(k mod order) for g = alpha^cofactor, of order prime^mult
+            y = self.pow(x.enc, cofactor)
             baby, giant, m, g_inv = self._dlog_table(prime, cofactor)
             residue, place = 0, 1
             for j in range(mult - 1, -1, -1):
@@ -660,19 +660,6 @@ class Field:
                 place *= prime
             k += residue * cofactor * pow(cofactor, -1, order)
         return k % qm1
-
-    def _projections(self, x: int, orders: list[int]) -> list[int]:
-        """x^(N/o) for each o in orders, N their product: one power each for
-        up to three orders, else by a product tree, each half raising x to
-        the other half's product first (a quarter to a third faster at 2^18,
-        2^20 and 3^12, with four or five orders)."""
-        if len(orders) <= 3:
-            total = math.prod(orders)
-            return [self.pow(x, total // o) for o in orders]
-        h = len(orders) // 2
-        low, high = orders[:h], orders[h:]
-        return (self._projections(self.pow(x, math.prod(high)), low)
-                + self._projections(self.pow(x, math.prod(low)), high))
 
     def _dlog_table(self, prime: int, cofactor: int) -> tuple[dict[int, int], int, int, int]:
         """Search data for a prime factor of q - 1, built on first use and
