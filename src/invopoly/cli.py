@@ -164,7 +164,11 @@ def _emit(rep: RunReport, args) -> int:
         print(json.dumps(_report_json(rep), sort_keys=True), file=sys.stdout)
     else:
         _render_report(rep, sys.stdout)
-    return rep.exit_code()
+    code = rep.exit_code()
+    if code == EXIT_INPUT:   # no form for the criterion, and the oracle was skipped
+        print(f"error: no verdict: {rep.poly} has no x^r * h(x^s) form and "
+              f"q = {rep.field.q} is above --cap {args.cap}", file=sys.stderr)
+    return code
 
 
 def _oracle_if_cheap(f: SparsePoly, args) -> PermReport | None:
@@ -184,11 +188,12 @@ def _analyze(field: Field, f: SparsePoly, args, s_hint: int | None = None,
         rhs = rhs if rhs is not None else decompose(f, s_hint)
     except (HasConstantTerm, ZeroPolynomial):
         rhs = None
+    # the oracle first: a value table it may not build is refused at once
+    rep.oracle = _oracle_if_cheap(f, args)
     if rhs is not None:
         rep.r, rep.s, rep.d = rhs.r, rhs.s, rhs.d
         rep.criterion = check_involution(rhs).verdict
         rep.permutation = check_permutation(rhs).ok
-    rep.oracle = _oracle_if_cheap(f, args)
     return rep
 
 
@@ -215,8 +220,11 @@ def cmd_verify(args) -> int:
     return _emit(rep, args)
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t != ""]
+def _parse_ints(text: str, option: str) -> list[int]:
+    try:
+        return [int(t) for t in text.split(",") if t != ""]
+    except ValueError:
+        raise ParseError(f"{option} must be comma-separated integers, got {text!r}") from None
 
 
 def cmd_construct(args) -> int:
@@ -234,10 +242,10 @@ def cmd_construct(args) -> int:
             sigma = (SubgroupInvolution.inversion(d) if args.sigma == "inverse"
                      else SubgroupInvolution.identity(d))
         elif args.sigma.startswith("perm:"):
-            sigma = SubgroupInvolution(_parse_ints(args.sigma[5:]))
+            sigma = SubgroupInvolution(_parse_ints(args.sigma[5:], "--sigma perm:"))
         else:
             raise ParseError(f"bad --sigma {args.sigma!r}: use inverse, identity or perm:i0,i1,...")
-        offsets = _parse_ints(args.n) if args.n else None
+        offsets = _parse_ints(args.n, "--n") if args.n else None
         rhs = construct_general(field, args.s, sigma, args.r, offsets)
         rep = _analyze(field, rhs.expand(), args, rhs=rhs, label="construction: general")
     elif args.mode == "d2":
@@ -364,9 +372,10 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                       help="largest field the oracle sweeps automatically")
+                       help="largest field the oracle sweeps automatically; "
+                            "value tables stop at q = 2^20 whatever the cap")
         p.add_argument("--oracle", action="store_true",
-                       help="force the oracle even above the cap")
+                       help="force the oracle above --cap, up to q = 2^20")
 
     p_field = sub.add_parser("field", help="describe a field")
     p_field.add_argument("--field", required=True)

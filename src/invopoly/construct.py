@@ -10,16 +10,17 @@ and f = x^r * h(x^s) is an involution.  The n_i pick which coset of mu_d
 each coset lands in beyond the bare subgroup map, so the count of valid
 offset vectors measures how many involutions share one l.
 
-The d = 3 constructors are this recipe at the inversion of mu_3: each
-checks its own hypotheses, then interpolates; the two corollaries fix r
-and part of the offsets over q = 4^k.  The paper's explicit coefficient
-formulas for them are pinned by the tests.  The d = 2 form takes the
-values of h on mu_2 directly, under the paper's two value conditions.
+The closed forms are instances of the recipe, checked by the criterion
+alone.  The d = 3 forms are the inversion of mu_3 (over q = 4^k the two
+corollaries fix r and part of the offsets; at q = 4 the recipe runs on
+mu_1).  The d = 2 form interpolates h from a = h(1) and b = h(-1); the
+paper's two value conditions are phi(1) = 1 and phi(-1) = 1.  Tests pin
+the paper's explicit coefficient formulas for d = 2 and d = 3.
 """
 
 from __future__ import annotations
 
-from .criterion import SubgroupInvolution, check_involution
+from .criterion import SubgroupInvolution, check_involution, phi_map
 from .errors import (
     CharacteristicDividesD,
     EvenCharacteristic,
@@ -30,7 +31,6 @@ from .errors import (
     WrongFieldShape,
 )
 from .gf import Field
-from .oracle import sweep
 from .polyring import RhsForm, SparsePoly, bound_subgroup_interpolation, interpolate_on_subgroup
 
 
@@ -48,16 +48,6 @@ def fixed_point_choices(s: int, r: int) -> list[int]:
 def partner_offset(s: int, r: int, n_i: int) -> int:
     """The offset forced at l(i) once n_i is chosen at a non-fixed i."""
     return -r * n_i % s
-
-
-def _interpolate_from_sigma(field: Field, s: int, sigma: SubgroupInvolution,
-                            r: int, offsets) -> RhsForm:
-    """The raw interpolation step, with no admissibility checks.  Feeding
-    it inadmissible data is how the failure direction gets exercised."""
-    d = sigma.d
-    values = [field.pow_alpha(d * offsets[i] + sigma(i) - i * r) for i in range(d)]
-    h = interpolate_on_subgroup(field, values)
-    return RhsForm(field, r, s, h)
 
 
 def construct_general(field: Field, s: int, sigma: SubgroupInvolution,
@@ -82,7 +72,8 @@ def construct_general(field: Field, s: int, sigma: SubgroupInvolution,
     if bad:
         raise PreconditionViolated(
             f"offsets break n_l(i) + r*n_i = 0 (mod {s}) at indices {bad}")
-    rhs = _interpolate_from_sigma(field, s, sigma, r, offsets)
+    values = [field.pow_alpha(d * offsets[i] + sigma(i) - i * r) for i in range(d)]
+    rhs = RhsForm(field, r, s, interpolate_on_subgroup(field, values))
     if not check_involution(rhs).verdict:
         raise InternalMismatch("constructed map failed the involution criterion")
     return rhs
@@ -97,13 +88,16 @@ def construct_from_inverse(field: Field, s: int, r: int = 1, offsets=None) -> Rh
     return construct_general(field, s, SubgroupInvolution.inversion(d), r, offsets)
 
 
+def _written(rhs: RhsForm, r: int) -> SparsePoly:
+    """x^r * h(x^s) with r as given: h's terms go to k*s + r, unfolded."""
+    return SparsePoly.from_pairs(rhs.field, ((k * rhs.s + r, c) for k, c in rhs.h.terms.items()))
+
+
 def construct_d2(field: Field, r: int, a, b) -> SparsePoly:
-    """The d = 2 closed form over odd q:
-
-        f = (a-b)/2 * x^{s+r} + (a+b)/2 * x^r,   s = (q-1)/2,
-
-    valid if and only if both value conditions below hold, so a passing
-    construction needs no further check (one runs anyway)."""
+    """The d = 2 form over odd q, s = (q-1)/2: h takes h(1) = a and
+    h(-1) = b, so f = (a-b)/2 * x^{s+r} + (a+b)/2 * x^r.  The criterion
+    decides; a refusal names the paper's value conditions that failed,
+    value-at-a being phi(1) = 1 and value-at-b phi(-1) = 1."""
     if field.p == 2:
         raise EvenCharacteristic("the d = 2 form needs odd q")
     q = field.q
@@ -112,23 +106,16 @@ def construct_d2(field: Field, r: int, a, b) -> SparsePoly:
         raise RSquareCondition(f"r = {r}: r^2 - 1 not divisible by s = {s}")
     if r < 1:
         raise PreconditionViolated(f"r must be at least 1, got {r}")
-    a = field.element(a)
-    b = field.element(b)
-    half = field.scalar(2).inverse()
-    c_hi = (a - b) * half
-    c_lo = (a + b) * half
-    sign_r = field.scalar(-1 if r % 2 else 1)
-    sign_e = field.scalar(-1 if ((r * r - 1) // s) % 2 else 1)
-    cond1 = c_hi * a ** (s + r) + c_lo * a**r == field.one()
-    cond2 = sign_r * c_hi * b ** (s + r) + c_lo * b**r == sign_e
-    failed = [name for name, ok in [("value-at-a", cond1), ("value-at-b", cond2)] if not ok]
-    if failed:
+    h = interpolate_on_subgroup(field, [field.element(a), field.element(b)])
+    rhs = RhsForm(field, r, s, h)
+    if not check_involution(rhs).verdict:
+        one = field.one()
+        failed = [name for name, z in [("value-at-a", one), ("value-at-b", -one)]
+                  if phi_map(rhs, z) != one]
+        if not failed:
+            raise InternalMismatch("d = 2 conditions passed but the map is not an involution")
         raise PreconditionViolated(f"d = 2 conditions failed: {', '.join(failed)}")
-    f = SparsePoly.from_pairs(field, [(s + r, c_hi), (r, c_lo)])
-    if not check_involution(RhsForm(field, r, s, SparsePoly.from_pairs(
-            field, [(1, c_hi), (0, c_lo)]))).verdict:
-        raise InternalMismatch("d = 2 conditions passed but the map is not an involution")
-    return f
+    return _written(rhs, r)
 
 
 def construct_d3(field: Field, r: int, n0: int, n1: int, n2: int) -> SparsePoly:
@@ -153,14 +140,10 @@ def construct_d3(field: Field, r: int, n0: int, n1: int, n2: int) -> SparsePoly:
 
 
 def _d3_inversion(field: Field, r: int, offsets) -> SparsePoly:
-    """Inversion on mu_3 with the given offsets through the general
-    interpolation, self-checked and written out with r as given (the
-    exponents r, s + r and 2s + r are left unfolded)."""
+    """Inversion on mu_3 with the given offsets, written out with r as
+    given (the exponents r, s + r and 2s + r are left unfolded)."""
     s = (field.q - 1) // 3
-    rhs = _interpolate_from_sigma(field, s, SubgroupInvolution.inversion(3), r, offsets)
-    if not check_involution(rhs).verdict:
-        raise InternalMismatch("d = 3 construction failed the involution criterion")
-    return SparsePoly.from_pairs(field, ((k * s + r, c) for k, c in rhs.h.terms.items()))
+    return _written(construct_general(field, s, SubgroupInvolution.inversion(3), r, offsets), r)
 
 
 def _require_even_square(field: Field) -> None:
@@ -182,8 +165,6 @@ def construct_cor_rq43(field: Field, n0: int, n1: int) -> SparsePoly:
     _require_even_square(field)
     if field.q > 4:
         return _d3_inversion(field, (field.q - 4) // 3, (n0, n1, n1))
-    # q = 4: r = 0 has no index form; h2 = 1 and h1 = h0 = 0 leave x^2
-    f = SparsePoly.from_pairs(field, [(2, field.one())])
-    if sweep(f).is_involution is not True:
-        raise InternalMismatch("r = (q-4)/3 closed form failed the involution check")
-    return f
+    # q = 4: r = 0 has no index form; x^2 = x^2 * h(x^3) with h = 1 is the
+    # recipe on mu_1 with s = 3 and r = 2
+    return _written(construct_general(field, 3, SubgroupInvolution.inversion(1), 2), 2)

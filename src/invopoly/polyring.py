@@ -27,9 +27,8 @@ from .errors import (
 )
 from .gf import Element, Field
 
-VALUE_TABLE_LIMIT = 1 << 24   # refuse full value tables beyond this q
 COMPOSE_LIMIT = 1 << 11       # full-field interpolation is quadratic in q
-DEFAULT_CAP = 1 << 20         # largest q the oracle sweeps, largest d the criterion walks
+DEFAULT_CAP = 1 << 20         # largest value table and oracle sweep, largest d the criterion walks
 
 
 def reduce_exponent(e: int, q: int) -> int:
@@ -96,8 +95,8 @@ class SparsePoly:
     def value_table(self) -> list[int]:
         """Encodings of f(x) for every x, indexed by the encoding of x."""
         f = self.field
-        if f.q > VALUE_TABLE_LIMIT:
-            raise FieldTooLarge(f"value table over q = {f.q} refused")
+        if f.q > DEFAULT_CAP:
+            raise FieldTooLarge(f"value table over q = {f.q} exceeds {DEFAULT_CAP}")
         out = None
         for e, c in self.terms.items():
             values = f.term_values(c.enc, e)
@@ -290,43 +289,31 @@ def compose_reduce(f: SparsePoly, g: SparsePoly) -> SparsePoly:
     return interpolate_table(f.field, [ft[v] for v in gt])
 
 
-_TERM_RE = re.compile(r"^(?:(?P<coef>[^*]+?)\s*\*\s*)?(?P<var>x(?:\^(?P<exp>\d+))?)$")
+_SIGN_RE = re.compile(r"(?<!\^)([+-])")   # a sign right after ^ belongs to an exponent
+_TERM_RE = re.compile(r"^(?:(?P<coef>[^*]+?)\s*\*?\s*)?x(?:\^(?P<exp>\d+))?$")
 
 
 def parse_poly(field: Field, text: str) -> SparsePoly:
-    """Parse '2*x^5 + 3*x^3 + 3*x' style text; terms may come in any order
-    and repeated exponents are merged.  Coefficients use the element text
-    forms of the field ('a^k' in extensions, decimal in prime fields)."""
+    """Parse '2*x^5 + 3*x^3 + 3*x' style text; the '*' before x may be
+    left out, terms may come in any order and repeated exponents are
+    merged.  Coefficients use the element text forms of the field ('a^k'
+    in extensions, decimal in prime fields)."""
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty polynomial")
     if stripped == "0":
         return SparsePoly.zero(field)
-    if stripped[0] not in "+-":
-        stripped = "+" + stripped
-    pos = 0
+    pieces = _SIGN_RE.split(stripped if stripped[0] in "+-" else "+" + stripped)
     pairs = []
-    while pos < len(stripped):
-        sign = stripped[pos]
-        if sign not in "+-":
-            raise ParseError(f"expected sign at {stripped[pos:]!r}")
-        pos += 1
-        nxt_p = stripped.find("+", pos)
-        nxt_m = stripped.find("-", pos)
-        nxt = min(x for x in (nxt_p, nxt_m, len(stripped)) if x >= 0)
-        term = stripped[pos:nxt].strip()
-        pos = nxt
+    for sign, term in zip(pieces[1::2], pieces[2::2]):
+        term = term.strip()
         if not term:
             raise ParseError(f"empty term in {text!r}")
         m = _TERM_RE.match(term)
         if m:
-            coef_text = m.group("coef")
-            c = field.parse_element(coef_text) if coef_text else field.one()
-            e = int(m.group("exp")) if m.group("exp") else (1 if m.group("var") == "x" else 0)
+            c = field.parse_element(m.group("coef")) if m.group("coef") else field.one()
+            e = int(m.group("exp") or 1)
         else:
-            c = field.parse_element(term)
-            e = 0
-        if sign == "-":
-            c = -c
-        pairs.append((e, c))
+            c, e = field.parse_element(term), 0
+        pairs.append((e, -c if sign == "-" else c))
     return SparsePoly.from_pairs(field, pairs)

@@ -2,7 +2,9 @@
 JSON documents, and the exit code contract."""
 from __future__ import annotations
 
+import contextlib
 import inspect
+import io
 import json
 import os
 import shutil
@@ -11,8 +13,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invopoly import cli, errors
+from invopoly.families import FAMILIES
 
 ENV = dict(os.environ)
 ENV["PYTHONPATH"] = os.pathsep.join(
@@ -223,6 +228,24 @@ def test_input_error_exit_codes():
     rc, out, err = run("verify", "--field", "7", "--poly", "2*x", "--cap", "-5")
     assert rc == 4 and out == ""
     assert "ParseError: --cap must be non-negative" in err
+    for option, value, message in (("--sigma", "perm:a", "--sigma perm: must be"),
+                                   ("--n", "1,x,2", "--n must be")):
+        rc, out, err = run("construct", "general", "--field", "7", "--s", "2", "--r", "1",
+                           option, value)
+        assert rc == 4 and out == ""
+        assert f"ParseError: {message} comma-separated integers, got" in err
+
+
+@pytest.mark.parametrize("field, poly", [("7", "x + 1"), ("2", "a*x^3 + x^2")])
+def test_no_verdict_is_reported_on_stderr(field, poly, capsys):
+    # neither the criterion (no x^r * h(x^s) form; over F_2 the second poly
+    # folds to 0) nor the oracle (q above --cap) decides: this used to exit
+    # 4 with nothing on stderr
+    assert cli.main(["verify", "--field", field, "--poly", poly, "--cap", "0"]) == 4
+    out, err = capsys.readouterr()
+    assert "involution:" not in out
+    assert err.startswith("error: no verdict: ") and err.count("\n") == 1
+    assert "is above --cap 0" in err
 
 
 @pytest.mark.parametrize("argv, limit", [
@@ -234,8 +257,10 @@ def test_input_error_exit_codes():
     (("construct", "general", "--field", "3^12", "--s", "2"), 0.5),
     (("construct", "general", "--field", "2^30", "--s", "1023"), 0.5),
     (("construct", "general", "--field", "2^30", "--s", "1023", "--sigma", "identity"), 0.5),
+    # value tables stop at 2^20, even when --oracle asks for one
+    (("verify", "--field", "2^21", "--poly", "x^2", "--oracle"), 1.0),
 ], ids=["verify-2^30", "verify-2^22", "construct-2^20", "construct-3^12", "construct-2^30",
-        "construct-2^30-identity"])
+        "construct-2^30-identity", "verify-2^21-oracle"])
 def test_large_subgroups_refused_fast(argv, limit, capsys):
     start = time.perf_counter()
     rc = cli.main(list(argv))
@@ -330,3 +355,95 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "alpha: 2" in proc.stdout
+
+
+# -- a fuzz over the five subcommands ----------------------------------------
+
+def _mostly(valid, invalid):
+    """Mostly valid values, so that most calls get past parsing."""
+    return st.sampled_from(valid * 4 + invalid)
+
+
+_INTS = _mostly(["0", "1", "2", "3", "4", "5", "7", "15"],
+                ["-1", "100000000000000000000", "-100000000000000000000", "", "x", "1.5"])
+_FIELDS = _mostly(["2", "3", "5", "7", "11", "13", "2^2", "4", "2^3", "2^4", "3^2", "9",
+                   "2^2/1,1,1"],
+                  ["", "6", "1", "0", "-7", "2^", "x", "2^0", "3^100", "10^20", "7/1,1"])
+_ELEMENTS = _mostly(["0", "1", "2", "6", "a", "a^3", "a^-1"], ["1,1", "99", "", "x", "a^"])
+_POLYS = st.one_of(
+    st.sampled_from(["x", "x^2", "x^4", "2*x^5 + 3*x^3 + 3*x", "2x^5 + 3x^3 + 3x", "a^-1*x",
+                     "a*x^3 + x^2", "x^100000000000000000000", "x + 1", "0", "3", "x - x",
+                     "x +", "", "x^-2", "2*y", "2*x*x", "x^^2", "+-x"]),
+    st.lists(st.tuples(_ELEMENTS, st.integers(0, 40), st.sampled_from(["+", "-"])),
+             min_size=1, max_size=4).map(
+        lambda terms: " ".join(f"{sign} {c}*x^{e}" for c, e, sign in terms)))
+_FAMILY_KEYS = {"thm-conj-symmetric": "r h0 h1", "cor-qb": "i b", "thm-palindromic": "q d r h0",
+                "cor-mdq1": "a b", "cor-m4d4": "a b c", "thm-reversal": "r d a0", "cor-exm": "a",
+                "thm-geometric": "q d m k", "lift": "q m r h"}
+
+
+def _params(family):
+    """Every key the family reads, with random values, or malformed text."""
+    def pair(key):
+        values = (_POLYS if key == "h" else _INTS if key in ("r", "q", "d", "m", "k", "i")
+                  else _ELEMENTS)
+        return values.map(lambda v: f"{key}={v}")
+    keys = _FAMILY_KEYS.get(family, "r").split()
+    return st.one_of(st.tuples(*map(pair, keys)).map(",".join),
+                     st.sampled_from(["", "=", "r", "r=1,,", ",h0=1", "x=1"]))
+
+
+def _command(head, required=(), **options):
+    """argv for one subcommand: the required options (name, values) come
+    first, then every other option (a strategy for its value, or None for a
+    flag) is present or absent, in a fixed order."""
+    def arg(name, values):
+        flag = "--" + name.replace("_", "-")
+        return st.just([flag]) if values is None else values.map(lambda v: [flag, v])
+    maybe = st.sampled_from([False, False, True])
+    parts = [st.just(list(head)), *(arg(n, v) for n, v in required),
+             *(maybe.flatmap(lambda on, a=arg(n, v): a if on else st.just([]))
+               for n, v in options.items())]
+    return st.tuples(*parts).map(lambda ps: [x for p in ps for x in p])
+
+
+_COMMON = {"cap": st.sampled_from(["0", "1", "16", "1048576", "-1", "100000000000000000000", "x"]),
+           "oracle": None, "json": None}
+_FIELD = [("field", _FIELDS)]
+_CONSTRUCT_NEEDS = {"general": [("s", _INTS)], "d2": [("a", _ELEMENTS), ("b", _ELEMENTS)]}
+_ARGV = st.one_of(
+    _command(["field"], _FIELD, json=None),
+    _command(["verify"], [*_FIELD, ("poly", _POLYS)], s=_INTS, **_COMMON),
+    st.sampled_from(["general", "d2", "d3", "cor-r1", "cor-rq43", "d4"]).flatmap(
+        lambda mode: _command(
+            ["construct", mode], [*_FIELD, *_CONSTRUCT_NEEDS.get(mode, [])],
+            sigma=st.sampled_from(["inverse", "identity", "perm:0", "perm:1,0", "perm:0,2,1",
+                                   "perm:a", "perm:", "bogus"]),
+            r=_INTS, n=st.sampled_from(["0", "0,0", "0,0,0", "1,4", "1,x,2", ",", ""]),
+            n0=_INTS, n1=_INTS, n2=_INTS, **_COMMON)),
+    st.sampled_from([*FAMILIES, "list", "nope"]).flatmap(
+        lambda fam: _command(["family", fam], [*_FIELD, ("params", _params(fam))], **_COMMON)),
+    _command(["search"], [*_FIELD, ("sample", st.sampled_from(["0", "1", "5", "-1", "x"])),
+                          ("exhaustive_limit", st.sampled_from(["0", "8", "30", "-3"]))],
+             s=_INTS, seed=_INTS, max_q=_INTS, json=None),
+    st.sampled_from([[], ["nope"], ["verify", "--field", "7"], ["verify", "--bogus"],
+                     ["search", "--field"], ["construct", "d2", "--field", "7"],
+                     ["family", "cor-exm"]]))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(argv=_ARGV)
+def test_cli_fuzz_ends_in_a_verdict_or_one_error_line(argv):
+    # search is bounded by the grammar: --sample <= 5, --exhaustive-limit
+    # <= 30 and fields of at most 16 elements
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    assert rc in range(6), (argv, rc)
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    if rc >= 3:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
+    assert elapsed < 1.0, (argv, elapsed)

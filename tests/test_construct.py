@@ -122,6 +122,30 @@ def test_d2_counts_and_soundness(f5, f7, f9, f11, f13):
         assert wins == frozen[q], (q, wins)
 
 
+def test_d2_forms_match_paper_formulas(f5, f7, f9, f11, f13):
+    # the paper's explicit d = 2 coefficients and its two value conditions,
+    # as the reference for the interpolation and criterion the library runs
+    for field in (f5, f7, f9, f11, f13):
+        s = (field.q - 1) // 2
+        one, half = field.one(), field.scalar(2).inverse()
+        for r in involutory_exponents(s):
+            sign_r = -one if r % 2 else one
+            sign_e = -one if (r * r - 1) // s % 2 else one
+            for a, b in itertools.product(field.elements(), repeat=2):
+                c_hi, c_lo = (a - b) * half, (a + b) * half
+                failed = [name for name, ok in [
+                    ("value-at-a", c_hi * a ** (s + r) + c_lo * a**r == one),
+                    ("value-at-b", sign_r * c_hi * b ** (s + r) + c_lo * b**r == sign_e)]
+                    if not ok]
+                if failed:
+                    with pytest.raises(PreconditionViolated) as exc:
+                        construct_d2(field, r, a, b)
+                    assert str(exc.value) == f"d = 2 conditions failed: {', '.join(failed)}"
+                else:
+                    assert construct_d2(field, r, a, b) == SparsePoly.from_pairs(
+                        field, [(s + r, c_hi), (r, c_lo)]), (field.q, r, a, b)
+
+
 def test_d2_rejections(f4, f13):
     with pytest.raises(EvenCharacteristic):
         construct_d2(f4, 1, f4.one(), f4.one())

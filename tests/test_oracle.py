@@ -68,6 +68,15 @@ def test_sweep_cap(f256):
     assert sweep(parse_poly(f256, "x"), cap=256).is_involution
 
 
+def test_value_tables_stop_at_the_default_cap():
+    # a cap above DEFAULT_CAP does not lift the value-table limit
+    f = parse_poly(make_field(2, 21), "x^2")
+    start = time.perf_counter()
+    with pytest.raises(FieldTooLarge, match="value table"):
+        sweep(f, cap=1 << 22)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_compositional_inverse_rejects_non_permutations(f7):
     with pytest.raises(NotAPermutation) as exc:
         compositional_inverse(parse_poly(f7, "x^3"))

@@ -50,12 +50,13 @@ def test_parse_and_str_round_trip(f7, f64):
         assert str(parse_poly(field, text)) == text
     assert str(parse_poly(f7, "3*x + x^2 - x")) == "x^2 + 2*x"
     assert str(parse_poly(f7, "0")) == "0"
-    with pytest.raises(ParseError):
-        parse_poly(f7, "x +")
-    with pytest.raises(ParseError):
-        parse_poly(f7, "2*y")
-    with pytest.raises(ParseError):
-        parse_poly(f7, "x^-2")
+    # the '*' before x is optional, and a sign right after '^' is an exponent's
+    assert str(parse_poly(f7, "2x^5 + 3x^3 + 3x")) == "2*x^5 + 3*x^3 + 3*x"
+    assert str(parse_poly(f64, "a^-1*x")) == "a^62*x"
+    assert str(parse_poly(f64, "a^-1x^2 - a^2 x")) == "a^62*x^2 + a^2*x"
+    for bad in ("x +", "2*y", "x^-2", "2*x*x"):
+        with pytest.raises(ParseError):
+            parse_poly(f7, bad)
     with pytest.raises(ValueError):
         SparsePoly.from_pairs(f7, [(-2, f7.one())])
 
@@ -72,6 +73,7 @@ def test_poly_text_round_trips(text_fields, data):
     field = data.draw(st.sampled_from(text_fields))
     f = data.draw(_polys(field, 3 * field.q))
     assert parse_poly(field, str(f)) == f
+    assert parse_poly(field, str(f).replace("*", "")) == f
 
 
 # every field with q <= 64
