@@ -4,8 +4,8 @@ The package builds small finite fields F_{p^n} with a deterministic
 polynomial basis, decides whether a constant-free polynomial is a
 permutation or an involution by a subgroup criterion that touches only
 the d = (q-1)/s roots of unity, constructs involutions from interpolation
-data or from closed-form families, and cross-checks everything against a
-brute-force oracle.
+data or from closed-form families, and ships a brute-force oracle with
+which the command line and the tests referee the criterion.
 """
 from __future__ import annotations
 

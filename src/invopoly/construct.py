@@ -108,12 +108,12 @@ def construct_d2(field: Field, r: int, a, b) -> SparsePoly:
         raise PreconditionViolated(f"r must be at least 1, got {r}")
     h = interpolate_on_subgroup(field, [field.element(a), field.element(b)])
     rhs = RhsForm(field, r, s, h)
-    if not check_involution(rhs).verdict:
+    report = check_involution(rhs)
+    if not report.verdict:
+        # the walk visits 1 first: stopping there leaves -1 unvisited
         one = field.one()
-        failed = [name for name, z in [("value-at-a", one), ("value-at-b", -one)]
-                  if phi_map(rhs, z) != one]
-        if not failed:
-            raise InternalMismatch("d = 2 conditions passed but the map is not an involution")
+        failed = ["value-at-b"] if report.failing_z != one else (
+            ["value-at-a"] + (["value-at-b"] if phi_map(rhs, -one) != one else []))
         raise PreconditionViolated(f"d = 2 conditions failed: {', '.join(failed)}")
     return _written(rhs, r)
 

@@ -11,17 +11,18 @@ map g(z) = z^r * h(z)^s on mu_d:
 A root of h on mu_d kills both properties (the whole coset above it maps
 to 0) and shows up here as phi(z) = 0.
 
-Every test here (and the root scans and subgroup checks of the families)
-is one walk z = omega^0, omega^1, ..., omega^{d-1} over mu_d, done on
-integer encodings with the field's kernel (table lookups for q up to
-gf.TABLE_LIMIT), in that order, stopping at the first failing z.  h is
-evaluated by Horner's rule, lazily and at most once per point of mu_d for
-each RhsForm: the values are memoised on the form, so check_involution
-(which also needs h(g(z)), again a point of mu_d) and check_permutation
-on the same form share them.  A decision therefore costs at most d
-evaluations of h, never q, and a walk over d > polyring.DEFAULT_CAP points
-is refused with FieldTooLarge before it starts.  g_map and phi_map are
-the same maps on single Elements, for callers and tests.
+Every test here (and the families' scans of h for roots on mu_d or
+values outside it) is one walk z = omega^0, omega^1, ..., omega^{d-1}
+over mu_d, done on integer encodings with the field's kernel (table
+lookups for q up to gf.TABLE_LIMIT), in that order, stopping at the
+first failing z.  h is evaluated by Horner's rule, lazily and at most
+once per point of mu_d for each RhsForm: the values are memoised on the
+form, so check_involution (which also needs h(g(z)), again a point of
+mu_d) and check_permutation on the same form share them.  A decision
+therefore costs at most d evaluations of h, never q, and a walk over
+d > polyring.DEFAULT_CAP points is refused with FieldTooLarge before it
+starts.  g_map and phi_map are the same maps on single Elements, for
+callers and tests.
 """
 
 from __future__ import annotations
@@ -185,22 +186,6 @@ def _first_root(field: Field, d: int, h: SparsePoly, memo: dict[int, int] | None
     return None
 
 
-def _g_index_map(rhs: RhsForm, reject) -> list[int]:
-    """The index map i -> j of g(omega^i) = omega^j, from one walk over
-    mu_d.  reject(z, h(z)) sees every point first and must raise where
-    h(z) = 0, since g(z) = 0 has no index."""
-    field = rhs.field
-    mul, pow_ = field.mul, field.pow
-    r, s = rhs.r, rhs.s
-    index: dict[int, int] = {}
-    images = []
-    for i, (z, hz) in enumerate(_walk_form(rhs)[1]):
-        reject(z, hz)
-        index[z] = i
-        images.append(mul(pow_(z, r), pow_(hz, s)))
-    return [index[g] for g in images]
-
-
 # -- the criteria ------------------------------------------------------------
 
 def check_involution(rhs: RhsForm) -> CriterionReport:
@@ -250,13 +235,17 @@ def induced_subgroup_involution(rhs: RhsForm) -> SubgroupInvolution:
     about f on its own.
     """
     field = rhs.field
-
-    def reject(z: int, hz: int) -> None:
+    mul, pow_ = field.mul, field.pow
+    r, s = rhs.r, rhs.s
+    index: dict[int, int] = {}   # z = omega^i -> i
+    images = []
+    for i, (z, hz) in enumerate(_walk_form(rhs)[1]):
         if hz == 0:
             raise NotInvolutionOnSubgroup(
                 f"g({Element(field, z)}) = 0 leaves the subgroup", witness=Element(field, z))
-
-    mapping = _g_index_map(rhs, reject)
+        index[z] = i
+        images.append(mul(pow_(z, r), pow_(hz, s)))
+    mapping = [index[g] for g in images]
     for i in range(rhs.d):
         if mapping[mapping[i]] != i:
             omega = field.pow(field.alpha.enc, (field.q - 1) // rhs.d)

@@ -772,6 +772,8 @@ def parse_field(text: str) -> Field:
         raise ParseError(f"bad field spec {text!r}")
     p = int(m.group(1))
     n = int(m.group(2)) if m.group(2) else 1
+    if n < 1:
+        raise ParseError(f"bad field spec {text!r}: degree must be positive")
     if p > ENCODING_LIMIT:
         # no field this large is built, and factorizing p could take minutes
         raise Overflow(f"q = {p}^{n} exceeds the {ENCODING_LIMIT} encoding limit")
@@ -786,7 +788,8 @@ def parse_field(text: str) -> Field:
 
 def subfield_embedding(base: Field, ext: Field):
     """The embedding F_{p^k} -> F_{p^{km}} sending the basis generator of the
-    base field to the smallest-encoding root of the base modulus in ext.
+    base field to the smallest-encoding root of the base modulus in ext,
+    found among the k conjugates of the first root on mu_{p^k-1}.
 
     Returns a callable Element -> Element.
     """
@@ -795,21 +798,17 @@ def subfield_embedding(base: Field, ext: Field):
             f"{base!r} does not embed in {ext!r}: need same p and degree divisibility")
     if base.n == 1:
         return lambda x: ext.scalar(x.enc)
-    # the image of the subfield's unit group is the unique subgroup of order q_b - 1
-    candidates = [ext.zero()] + ext.subgroup(base.q - 1)[1]
-    roots = []
-    for y in candidates:
-        acc = ext.zero()
+    add, mul = ext.add, ext.mul
+    omega, y = ext.pow(ext._alpha_enc, (ext.q - 1) // (base.q - 1)), 1
+    while True:   # the irreducible base modulus has all k roots in mu_{p^k-1}
+        acc = 0
         for c in reversed(base.modulus):
-            acc = acc * y + ext.scalar(c)
-        if acc.is_zero:
-            roots.append(y)
-    if not roots:
-        raise AssertionError("unreachable: base modulus splits in the subfield")  # pragma: no cover
-    root = min(roots, key=lambda y: y.enc)
-    powers = [ext.one()]
-    for _ in range(base.n - 1):
-        powers.append(powers[-1] * root)
+            acc = add(mul(acc, y), c)
+        if not acc:
+            break
+        y = mul(y, omega)
+    root = Element(ext, min(ext.pow(y, ext.p**i) for i in range(base.n)))
+    powers = [root**i for i in range(base.n)]
 
     def embed(x: Element) -> Element:
         acc = ext.zero()

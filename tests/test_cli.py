@@ -308,11 +308,16 @@ def test_construct_bad_r_and_s_are_preconditions(argv, error, capsys):
      3, "size 2, need 3"),
     (("verify", "--field", "7", "--poly", "2*x", "--s", "100000000000000000000"),
      3, "NotADivisor"),
+    (("family", "lift", "--field", "2^24", "--params", "q=16777216,m=1,r=1,h=x"),
+     4, "error: FieldTooLarge: subgroup walk over d = 16777215 exceeds cap 1048576"),
+    (("verify", "--field", "2^0", "--poly", "x"), 4, "error: ParseError: bad field spec"),
 ], ids=["general-huge-r", "general-huge-s", "d3-huge-n0", "general-short-n",
-        "general-short-sigma", "verify-huge-s"])
+        "general-short-sigma", "verify-huge-s", "lift-huge-base", "field-degree-zero"])
 def test_huge_and_misshapen_arguments_are_bounded(argv, code, message, capsys):
-    # huge --r, --s and --n0 reduce mod s or fail the divisor check, and
-    # offset and --sigma lists of the wrong length are refused, all at once
+    # huge --r, --s and --n0 reduce mod s or fail the divisor check, offset
+    # and --sigma lists of the wrong length are refused, lift bounds its base
+    # field before building or embedding anything, and a zero field degree
+    # is a ParseError, not a bare ValueError, all at once
     start = time.perf_counter()
     rc = cli.main(list(argv))
     elapsed = time.perf_counter() - start

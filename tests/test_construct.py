@@ -125,6 +125,7 @@ def test_d2_counts_and_soundness(f5, f7, f9, f11, f13):
 def test_d2_forms_match_paper_formulas(f5, f7, f9, f11, f13):
     # the paper's explicit d = 2 coefficients and its two value conditions,
     # as the reference for the interpolation and criterion the library runs
+    kinds = set()
     for field in (f5, f7, f9, f11, f13):
         s = (field.q - 1) // 2
         one, half = field.one(), field.scalar(2).inverse()
@@ -138,12 +139,15 @@ def test_d2_forms_match_paper_formulas(f5, f7, f9, f11, f13):
                     ("value-at-b", sign_r * c_hi * b ** (s + r) + c_lo * b**r == sign_e)]
                     if not ok]
                 if failed:
+                    kinds.add(tuple(failed))
                     with pytest.raises(PreconditionViolated) as exc:
                         construct_d2(field, r, a, b)
                     assert str(exc.value) == f"d = 2 conditions failed: {', '.join(failed)}"
                 else:
                     assert construct_d2(field, r, a, b) == SparsePoly.from_pairs(
                         field, [(s + r, c_hi), (r, c_lo)]), (field.q, r, a, b)
+    # each refusal kind occurs: phi fails at 1 only, at -1 only, or at both
+    assert kinds == {("value-at-a",), ("value-at-b",), ("value-at-a", "value-at-b")}
 
 
 def test_d2_rejections(f4, f13):

@@ -43,7 +43,8 @@ from invopoly.families import (
     validate,
 )
 from invopoly.gf import make_field
-from invopoly.polyring import RhsForm, SparsePoly, interpolate_on_subgroup, parse_poly
+from invopoly.polyring import (
+    RhsForm, SparsePoly, interpolate_on_subgroup, interpolate_table, parse_poly)
 from invopoly.oracle import sweep
 
 
@@ -70,6 +71,30 @@ def test_conj_symmetric_self_paired(f25):
     f = rhs.expand().reduce_exponents()
     assert str(f) == "a^12*x^23"
     assert _is_involution(f)
+
+
+def test_conj_symmetric_identity():
+    # every admissible one-term h over F_9, F_25 and F_49: h is fixed by
+    # Frobenius on mu_{q+1} and b^{(r^2-1)/(q-1)} * h(b^r) = h(b) there
+    built = dict.fromkeys((3, 5, 7), 0)
+    for q in built:
+        ext = make_field(q, 2)
+        _, mu = ext.subgroup(q + 1)
+        for r in range(q - 2, q * q - 1, q - 1):
+            if 2 * ((r * r - 1) // (q - 1)) % (q + 1):
+                continue
+            for i in sorted(omega_set(q, r)):
+                for v in (ext.one(), ext.alpha):
+                    try:
+                        h = gen_conj_symmetric(ext, r, {i: v}).h
+                    except HValueZero:
+                        continue
+                    for b in mu:
+                        hb = h.evaluate(b)
+                        assert hb**q == hb, (q, r, i, v, b)
+                        assert b ** ((r * r - 1) // (q - 1)) * h.evaluate(b**r) == hb
+                    built[q] += 1
+    assert built == {3: 20, 5: 24, 7: 40}
 
 
 def test_conj_symmetric_rejections(f7, f25):
@@ -253,6 +278,7 @@ def test_reversal_matches_oracle_everywhere():
             except PreconditionViolated:
                 continue
             assert _is_involution(out.rhs.expand()) == out.involution
+            assert check_involution(out.rhs).verdict == out.involution
             agree += 1
             if out.root is not None:
                 roots += 1
@@ -347,7 +373,8 @@ def test_lift_rejections(f4, f9, f16, f64):
     h_x = SparsePoly.from_pairs(f4, [(1, f4.one())])
     with pytest.raises(BaseNotInvolution) as exc:
         lift_involution(f4, 2, 1, h_x, ext=f16)
-    assert exc.value.witness == (f4.one(), f4.alpha)
+    # the criterion's first failing point on mu_3 = {1, a^5, a^10} of F_16
+    assert exc.value.witness == f16.pow_alpha(5)
     h1 = SparsePoly.from_pairs(f4, [(0, f4.one())])
     with pytest.raises(PreconditionViolated, match="gcd"):
         lift_involution(f4, 3, 1, h1)
@@ -360,40 +387,36 @@ def test_lift_rejections(f4, f9, f16, f64):
         lift_involution(f9, 3, 1, h1)
 
 
+def _lift_hits(base, m, ext, rs) -> list:
+    """(r, h) for every nonzero linear h that lifts; BaseNotInvolution must
+    come exactly when the oracle finds x^r * h(x)^m no involution of base."""
+    hits = []
+    for r in rs:
+        for e1 in range(base.q):
+            for e0 in range(base.q):
+                h = SparsePoly.from_pairs(
+                    base, [(1, base.element(e1)), (0, base.element(e0))])
+                if h.is_zero:
+                    continue
+                table = [(x**r * h.evaluate(x) ** m).enc for x in base.elements()]
+                base_ok = _is_involution(interpolate_table(base, table))
+                try:
+                    lift_involution(base, m, r, h, ext=ext)
+                except BaseNotInvolution:
+                    assert not base_ok, (r, str(h))
+                    continue
+                assert base_ok, (r, str(h))
+                hits.append((r, str(h)))
+    return hits
+
+
 def test_lift_exhaustive_linear_scan(f8, f9, f64, f3_6):
     # all linear h over the two small bases: only the maps that really are
     # base-field involutions survive
-    hits = []
-    for r in (1, 8, 10, 17):
-        if (r * r - 1) % 9:
-            continue
-        for e1 in range(8):
-            for e0 in range(8):
-                h = SparsePoly.from_pairs(
-                    f8, [(1, f8.element(e1)), (0, f8.element(e0))])
-                if h.is_zero:
-                    continue
-                try:
-                    lift_involution(f8, 2, r, h, ext=f64)
-                except (BaseNotInvolution, PreconditionViolated, RSquareCondition):
-                    continue
-                hits.append((r, str(h)))
-    assert hits == [(1, "a^0"), (8, "a^0")]
-    hits9 = []
-    for r in (1, 90):
-        for e1 in range(9):
-            for e0 in range(9):
-                h = SparsePoly.from_pairs(
-                    f9, [(1, f9.element(e1)), (0, f9.element(e0))])
-                if h.is_zero:
-                    continue
-                try:
-                    lift_involution(f9, 3, r, h, ext=f3_6)
-                except (BaseNotInvolution, PreconditionViolated, RSquareCondition):
-                    continue
-                hits9.append((r, str(h)))
+    assert _lift_hits(f8, 2, f64, (1, 8, 10, 17)) == [(1, "a^0"), (8, "a^0")]
     # a^4 = -1 in the order-9 field: the four hits are x, -x, x^90, -x^90
-    assert hits9 == [(1, "a^0"), (1, "a^4"), (90, "x"), (90, "a^4*x")]
+    assert _lift_hits(f9, 3, f3_6, (1, 90)) == [
+        (1, "a^0"), (1, "a^4"), (90, "x"), (90, "a^4*x")]
 
 
 # -- subgroup-only involution test ------------------------------------------

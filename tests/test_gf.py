@@ -395,6 +395,22 @@ def test_subfield_embedding_is_a_ring_hom(f4, f16, f9, f3_8):
             assert gen ** ((base.q - 1) // rho) != ext.one()
 
 
+def test_subfield_embedding_takes_the_smallest_root(f4, f8, f9, f16, f64, f3_6, f3_8):
+    # the walk over mu_{q_b-1} picks the root an exhaustive scan of ext
+    # would, on every (base, extension) pair the suite embeds
+    for base, ext in ((f4, f16), (f8, f64), (f9, f3_6), (f9, f3_8)):
+        roots = []
+        for y in ext.elements():
+            acc = ext.zero()
+            for c in reversed(base.modulus):
+                acc = acc * y + ext.scalar(c)
+            if acc.is_zero:
+                roots.append(y)
+        assert len(roots) == base.n
+        x = base.element(base.p)   # p encodes the basis generator x
+        assert subfield_embedding(base, ext)(x) == min(roots, key=lambda y: y.enc)
+
+
 def test_subfield_embedding_rejects_non_divisible_degrees(f4, f8):
     with pytest.raises(WrongFieldShape):
         subfield_embedding(f4, f8)
