@@ -13,6 +13,7 @@ from .criterion import (
     CriterionReport,
     PermutationCheck,
     SubgroupInvolution,
+    check_iff_subgroup,
     check_involution,
     check_permutation,
     induced_subgroup_involution,
@@ -34,7 +35,6 @@ from .families import (
     ConditionCheck,
     FamilySpec,
     ReversalOutcome,
-    check_iff_subgroup,
     cor_exm_case_verdict,
     cor_exm_gcd_verdict,
     gen_conj_symmetric,

@@ -171,15 +171,6 @@ def _emit(rep: RunReport, args) -> int:
     return code
 
 
-def _oracle_if_cheap(f: SparsePoly, args) -> PermReport | None:
-    cap = args.cap
-    if args.oracle:
-        return sweep(f, max(cap, f.field.q))
-    if f.field.q <= cap:
-        return sweep(f, cap)
-    return None
-
-
 def _analyze(field: Field, f: SparsePoly, args, s_hint: int | None = None,
              rhs: RhsForm | None = None, label: str | None = None,
              checks=None) -> RunReport:
@@ -189,11 +180,12 @@ def _analyze(field: Field, f: SparsePoly, args, s_hint: int | None = None,
     except (HasConstantTerm, ZeroPolynomial):
         rhs = None
     # the oracle first: a value table it may not build is refused at once
-    rep.oracle = _oracle_if_cheap(f, args)
+    rep.oracle = sweep(f) if args.oracle or field.q <= args.cap else None
     if rhs is not None:
         rep.r, rep.s, rep.d = rhs.r, rhs.s, rhs.d
+        # a constructor's verdict is read back; an involution is a bijection
         rep.criterion = check_involution(rhs).verdict
-        rep.permutation = check_permutation(rhs).ok
+        rep.permutation = rep.criterion or check_permutation(rhs).ok
     return rep
 
 

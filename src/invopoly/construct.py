@@ -20,11 +20,10 @@ the paper's explicit coefficient formulas for d = 2 and d = 3.
 
 from __future__ import annotations
 
-from .criterion import SubgroupInvolution, check_involution, phi_map
+from .criterion import SubgroupInvolution, check_involution, confirm_involution, phi_map
 from .errors import (
     CharacteristicDividesD,
     EvenCharacteristic,
-    InternalMismatch,
     NotADivisor,
     PreconditionViolated,
     RSquareCondition,
@@ -73,10 +72,8 @@ def construct_general(field: Field, s: int, sigma: SubgroupInvolution,
         raise PreconditionViolated(
             f"offsets break n_l(i) + r*n_i = 0 (mod {s}) at indices {bad}")
     values = [field.pow_alpha(d * offsets[i] + sigma(i) - i * r) for i in range(d)]
-    rhs = RhsForm(field, r, s, interpolate_on_subgroup(field, values))
-    if not check_involution(rhs).verdict:
-        raise InternalMismatch("constructed map failed the involution criterion")
-    return rhs
+    return confirm_involution(RhsForm(field, r, s, interpolate_on_subgroup(field, values)),
+                              "constructed map failed the involution criterion")
 
 
 def construct_from_inverse(field: Field, s: int, r: int = 1, offsets=None) -> RhsForm:

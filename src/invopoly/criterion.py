@@ -11,18 +11,19 @@ map g(z) = z^r * h(z)^s on mu_d:
 A root of h on mu_d kills both properties (the whole coset above it maps
 to 0) and shows up here as phi(z) = 0.
 
-Every test here (and the families' scans of h for roots on mu_d or
-values outside it) is one walk z = omega^0, omega^1, ..., omega^{d-1}
-over mu_d, done on integer encodings with the field's kernel (table
-lookups for q up to gf.TABLE_LIMIT), in that order, stopping at the
-first failing z.  h is evaluated by Horner's rule, lazily and at most
-once per point of mu_d for each RhsForm: the values are memoised on the
+This module alone walks mu_d.  Every test here (first_root and
+check_iff_subgroup included) is one walk of an RhsForm, z = omega^0,
+omega^1, ..., omega^{d-1}, on integer encodings with the field's kernel
+(table lookups for q up to gf.TABLE_LIMIT), in that order, stopping at
+the first failing z.  h is evaluated by Horner's rule, lazily and at most
+once per point of mu_d for each form: the values are memoised on the
 form, so check_involution (which also needs h(g(z)), again a point of
-mu_d) and check_permutation on the same form share them.  A decision
-therefore costs at most d evaluations of h, never q, and a walk over
-d > polyring.DEFAULT_CAP points is refused with FieldTooLarge before it
-starts.  g_map and phi_map are the same maps on single Elements, for
-callers and tests.
+mu_d) and check_permutation share them.  The form also keeps its
+involution report, so a constructor's decision is read back, not made
+again.  A decision costs at most d evaluations of h, never q, and a walk
+over d > polyring.DEFAULT_CAP points is refused with FieldTooLarge
+before it starts.  g_map and phi_map are the same maps on single
+Elements, for callers and tests.
 """
 
 from __future__ import annotations
@@ -32,13 +33,15 @@ from math import gcd
 
 from .errors import (
     FieldTooLarge,
+    HypothesisViolated,
+    InternalMismatch,
     NotInSubgroup,
     NotInvolutionOnSubgroup,
     PreconditionViolated,
     RSquareCondition,
 )
-from .gf import Element, Field
-from .polyring import DEFAULT_CAP, RhsForm, SparsePoly
+from .gf import Element
+from .polyring import DEFAULT_CAP, RhsForm
 
 
 @dataclass(frozen=True)
@@ -132,16 +135,17 @@ def phi_map(rhs: RhsForm, z: Element) -> Element:
 
 # -- the walk over mu_d ------------------------------------------------------
 
-def _walk(field: Field, d: int, h: SparsePoly, memo: dict[int, int]):
-    """The one walk over mu_d behind every subgroup-level test.
+def _walk(rhs: RhsForm):
+    """The one walk over mu_d behind every subgroup-level test of rhs.
 
     Returns (h_at, points): h_at evaluates h at an encoding, and points
     yields the encodings (z, h(z)) for z = omega^0, omega^1, ...,
     omega^{d-1}, one at a time, so a caller that stops at its first failing
-    z evaluates h no further.  h_at looks each point up in memo first and
-    stores what it computes there.  d above DEFAULT_CAP is
+    z evaluates h no further.  h_at looks each point up in the form's memo
+    first and stores what it computes there.  d above DEFAULT_CAP is
     refused (FieldTooLarge) before any point is visited.
     """
+    field, d, h, memo = rhs.field, rhs.d, rhs.h, rhs._memo["h"]
     if d > DEFAULT_CAP:
         raise FieldTooLarge(f"subgroup walk over d = {d} exceeds cap {DEFAULT_CAP}")
     add, mul, pow_ = field.add, field.mul, field.pow
@@ -173,16 +177,11 @@ def _walk(field: Field, d: int, h: SparsePoly, memo: dict[int, int]):
     return h_at, points()
 
 
-def _walk_form(rhs: RhsForm):
-    """_walk over the form's mu_d, sharing one memo among all checks of rhs."""
-    return _walk(rhs.field, rhs.d, rhs.h, rhs._h_values)
-
-
-def _first_root(field: Field, d: int, h: SparsePoly, memo: dict[int, int] | None = None):
-    """The first z = omega^i with h(z) = 0, as an Element, or None."""
-    for z, hz in _walk(field, d, h, {} if memo is None else memo)[1]:
+def first_root(rhs: RhsForm) -> Element | None:
+    """The first z = omega^i of mu_d with h(z) = 0, as an Element, or None."""
+    for z, hz in _walk(rhs)[1]:
         if hz == 0:
-            return Element(field, z)
+            return Element(rhs.field, z)
     return None
 
 
@@ -190,7 +189,15 @@ def _first_root(field: Field, d: int, h: SparsePoly, memo: dict[int, int] | None
 
 def check_involution(rhs: RhsForm) -> CriterionReport:
     """Decide whether x^r * h(x^s) is an involution without touching any
-    element outside mu_d."""
+    element outside mu_d.  The report is kept with the form, so deciding
+    the same form again is a lookup."""
+    memo = rhs._memo
+    if memo["report"] is None:
+        memo["report"] = _decide_involution(rhs)
+    return memo["report"]
+
+
+def _decide_involution(rhs: RhsForm) -> CriterionReport:
     r, s = rhs.r, rhs.s
     gcd_ok = gcd(r, s) == 1
     if (r * r - 1) % s:
@@ -198,12 +205,20 @@ def check_involution(rhs: RhsForm) -> CriterionReport:
     zexp = (r * r - 1) // s
     field = rhs.field
     mul, pow_ = field.mul, field.pow
-    h_at, points = _walk_form(rhs)
+    h_at, points = _walk(rhs)
     for z, hz in points:
         if hz == 0 or mul(mul(pow_(z, zexp), h_at(mul(pow_(z, r), pow_(hz, s)))),
                           pow_(hz, r)) != 1:
             return CriterionReport(True, gcd_ok, False, Element(field, z), False)
     return CriterionReport(True, gcd_ok, True, None, True)
+
+
+def confirm_involution(rhs: RhsForm, message: str) -> RhsForm:
+    """rhs, once the criterion confirms the involution a construction
+    promised; InternalMismatch(message) if it does not."""
+    if not check_involution(rhs).verdict:
+        raise InternalMismatch(message)
+    return rhs
 
 
 def check_permutation(rhs: RhsForm) -> PermutationCheck:
@@ -215,7 +230,7 @@ def check_permutation(rhs: RhsForm) -> PermutationCheck:
     mul, pow_ = field.mul, field.pow
     r, s = rhs.r, rhs.s
     seen: dict[int, int] = {}
-    for z, hz in _walk_form(rhs)[1]:
+    for z, hz in _walk(rhs)[1]:
         if hz == 0:
             return PermutationCheck(False, True, witness=Element(field, z))
         gz = mul(pow_(z, r), pow_(hz, s))
@@ -239,7 +254,7 @@ def induced_subgroup_involution(rhs: RhsForm) -> SubgroupInvolution:
     r, s = rhs.r, rhs.s
     index: dict[int, int] = {}   # z = omega^i -> i
     images = []
-    for i, (z, hz) in enumerate(_walk_form(rhs)[1]):
+    for i, (z, hz) in enumerate(_walk(rhs)[1]):
         if hz == 0:
             raise NotInvolutionOnSubgroup(
                 f"g({Element(field, z)}) = 0 leaves the subgroup", witness=Element(field, z))
@@ -253,3 +268,21 @@ def induced_subgroup_involution(rhs: RhsForm) -> SubgroupInvolution:
                 f"g o g moves omega^{i} to omega^{mapping[mapping[i]]}",
                 witness=Element(field, field.pow(omega, i)))
     return SubgroupInvolution(mapping)
+
+
+def check_iff_subgroup(rhs: RhsForm) -> bool:
+    """When gcd(s, d) = 1 and h maps mu_d into itself, f is an involution
+    exactly when g = z^r * h(z)^s is one on mu_d; this checks those
+    hypotheses and reads the answer off the criterion, d evaluations."""
+    r, s, d = rhs.r, rhs.s, rhs.d
+    if (r * r - 1) % s:
+        raise HypothesisViolated(f"r^2 = 1 mod s fails for r = {r}, s = {s}")
+    if gcd(s, d) != 1:
+        raise HypothesisViolated(f"gcd(s, d) = {gcd(s, d)} must be 1")
+    field = rhs.field
+    for z, v in _walk(rhs)[1]:
+        if v == 0 or field.pow(v, d) != 1:
+            raise HypothesisViolated(
+                f"h({Element(field, z)}) = {Element(field, v)} is outside mu_{d}",
+                witness=Element(field, z))
+    return check_involution(rhs).verdict

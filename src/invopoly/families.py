@@ -20,14 +20,12 @@ from dataclasses import dataclass, field as dc_field
 from math import gcd
 from typing import Callable
 
-from .criterion import _first_root, _walk_form, check_involution
+from .criterion import check_involution, confirm_involution, first_root
 from .errors import (
     BaseNotInvolution,
     EvenQNoSolution,
     FieldTooLarge,
     HValueZero,
-    HypothesisViolated,
-    InternalMismatch,
     Overflow,
     ParseError,
     PreconditionViolated,
@@ -133,7 +131,7 @@ def _cond_conj_symmetric(ext: Field, r: int, coeffs: dict) -> list[ConditionChec
                                  f"outside positions {stray}" if stray else f"allowed {sorted(omg)}"))
     if stray or not hyp:
         return checks
-    root = _first_root(ext, q + 1, _conj_h(ext, q, coeffs))
+    root = first_root(RhsForm(ext, r, q - 1, _conj_h(ext, q, coeffs)))
     checks.append(ConditionCheck("h-nonzero-on-mu", root is None,
                                  f"h({root}) = 0" if root is not None else ""))
     return checks
@@ -146,10 +144,8 @@ def gen_conj_symmetric(ext: Field, r: int, coeffs: dict) -> RhsForm:
     _gate(checks)
     q = _split_square(ext)
     h = _conj_h(ext, q, coeffs)
-    rhs = RhsForm(ext, r, q - 1, h)
-    if not check_involution(rhs).verdict:
-        raise InternalMismatch("conjugate-symmetric construction failed the criterion")
-    return rhs
+    return confirm_involution(RhsForm(ext, r, q - 1, h),
+                              "conjugate-symmetric construction failed the criterion")
 
 
 def gen_cor_qb(ext: Field, i: int, b) -> RhsForm:
@@ -240,7 +236,7 @@ def _cond_palindromic(ext: Field, base_q: int, d: int, r: int, coeffs: dict) -> 
                                  f"positions {sorted(alien)} outside order-{base_q} subfield" if alien else ""))
     if alien:
         return checks
-    root = _first_root(ext, d, SparsePoly(ext, full))
+    root = first_root(RhsForm(ext, r, s, SparsePoly(ext, full)))
     checks.append(ConditionCheck("h-nonzero-on-mu", root is None,
                                  f"h({root}) = 0" if root is not None else ""))
     return checks
@@ -254,10 +250,8 @@ def gen_palindromic(ext: Field, base_q: int, d: int, r: int, coeffs: dict) -> Rh
     s = (ext.q - 1) // d
     e = ((r * r - 1) // s) % d
     full, _ = _mirror_complete(ext, coeffs, lambda i, v: ((e - i) % d, v))
-    rhs = RhsForm(ext, r, s, SparsePoly(ext, full))
-    if not check_involution(rhs).verdict:
-        raise InternalMismatch("palindromic construction failed the criterion")
-    return rhs
+    return confirm_involution(RhsForm(ext, r, s, SparsePoly(ext, full)),
+                              "palindromic construction failed the criterion")
 
 
 def _mdq1_args(ext: Field, a, b) -> tuple:
@@ -339,7 +333,7 @@ def gen_reversal(ext: Field, r: int, deg: int, coeffs: dict) -> ReversalOutcome:
     _gate(checks)
     q = _split_square(ext)
     rhs = RhsForm(ext, r, q - 1, h)
-    root = _first_root(ext, q + 1, rhs.h, rhs._h_values)
+    root = first_root(rhs)
     return ReversalOutcome(rhs, root is None, root)
 
 
@@ -398,10 +392,8 @@ def gen_cor_exm(ext: Field, a) -> RhsForm:
     if not cor_exm_case_verdict(ext, a):
         raise PreconditionViolated(f"a = {a} fails the residue-class test for q = {q}")
     h = SparsePoly.from_pairs(ext, [(q - 3, a), (0, a**q)])
-    rhs = RhsForm(ext, q - 2, q - 1, h)
-    if not check_involution(rhs).verdict:
-        raise InternalMismatch("admissible a produced a non-involution")
-    return rhs
+    return confirm_involution(RhsForm(ext, q - 2, q - 1, h),
+                              "admissible a produced a non-involution")
 
 
 # -- geometric family over F_{q^m}, m even ----------------------------------
@@ -449,8 +441,7 @@ def gen_geometric(ext: Field, base_q: int, d: int, m: int, k: int) -> SparsePoly
     one = ext.one()
     f = SparsePoly.from_pairs(ext, [(1 + i * s, one) for i in range(k)])
     h = SparsePoly.from_pairs(ext, [(i, one) for i in range(k)])
-    if not check_involution(RhsForm(ext, 1, s, h)).verdict:
-        raise InternalMismatch("geometric construction failed the criterion")
+    confirm_involution(RhsForm(ext, 1, s, h), "geometric construction failed the criterion")
     return f
 
 
@@ -503,24 +494,6 @@ def lift_involution(base: Field, m: int, r: int, h: SparsePoly,
         raise BaseNotInvolution(f"x^{r} * h(x)^{m} is not an involution of the base field",
                                 witness=report.failing_z)
     return rhs
-
-
-def check_iff_subgroup(rhs: RhsForm) -> bool:
-    """When gcd(s, d) = 1 and h maps mu_d into itself, f is an involution
-    exactly when g = z^r * h(z)^s is one on mu_d; this checks those
-    hypotheses and reads the answer off the criterion, d evaluations."""
-    r, s, d = rhs.r, rhs.s, rhs.d
-    if (r * r - 1) % s:
-        raise HypothesisViolated(f"r^2 = 1 mod s fails for r = {r}, s = {s}")
-    if gcd(s, d) != 1:
-        raise HypothesisViolated(f"gcd(s, d) = {gcd(s, d)} must be 1")
-    field = rhs.field
-    for z, v in _walk_form(rhs)[1]:
-        if v == 0 or field.pow(v, d) != 1:
-            raise HypothesisViolated(
-                f"h({Element(field, z)}) = {Element(field, v)} is outside mu_{d}",
-                witness=Element(field, z))
-    return check_involution(rhs).verdict
 
 
 # -- the family registry ----------------------------------------------------

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FieldTooLarge, NotAPermutation
+from .errors import NotAPermutation
 from .gf import Element, Field
-from .polyring import DEFAULT_CAP, SparsePoly, bound_full_interpolation, interpolate_table
+from .polyring import SparsePoly, bound_full_interpolation, interpolate_table
 
 
 @dataclass(frozen=True)
@@ -53,21 +53,16 @@ def _check_table(field: Field, table: list[int]) -> PermReport:
     return PermReport(field, True, True, fixed)
 
 
-def _capped_value_table(f: SparsePoly, cap: int) -> list[int]:
-    if f.field.q > cap:
-        raise FieldTooLarge(f"oracle sweep over q = {f.field.q} exceeds cap {cap}")
-    return f.value_table()
+def sweep(f: SparsePoly) -> PermReport:
+    """Evaluate f everywhere and report permutation / involution status;
+    above polyring.DEFAULT_CAP the value table refuses (FieldTooLarge)."""
+    return _check_table(f.field, f.value_table())
 
 
-def sweep(f: SparsePoly, cap: int = DEFAULT_CAP) -> PermReport:
-    """Evaluate f everywhere and report permutation / involution status."""
-    return _check_table(f.field, _capped_value_table(f, cap))
-
-
-def compositional_inverse(f: SparsePoly, cap: int = DEFAULT_CAP) -> SparsePoly:
+def compositional_inverse(f: SparsePoly) -> SparsePoly:
     """The reduced polynomial inducing f^{-1}; NotAPermutation otherwise."""
     bound_full_interpolation(f.field.q)
-    table = _capped_value_table(f, cap)
+    table = f.value_table()
     report = _check_table(f.field, table)
     if not report.is_permutation:
         raise NotAPermutation(f"no inverse: f collides at encodings "

@@ -165,10 +165,12 @@ class RhsForm:
         return (self.field.q - 1) // self.s
 
     @cached_property
-    def _h_values(self) -> dict[int, int]:
-        """h(z) by the encoding of z, filled in as the criterion walks mu_d,
-        so that all subgroup-level checks of this form share the points."""
-        return {}
+    def _memo(self) -> dict:
+        """What the criterion has learnt about this form, shared by every
+        subgroup-level check of it: under "h", h(z) by the encoding of each
+        point z of mu_d walked so far; under "report", the involution
+        report once decided."""
+        return {"h": {}, "report": None}
 
     def expand(self) -> SparsePoly:
         """The plain polynomial x^r * h(x^s) with exponents folded into
@@ -200,8 +202,6 @@ def decompose(f: SparsePoly, s: int | None = None) -> RhsForm:
     for e in f.terms:
         g0 = gcd(g0, e - r)
     g0 = gcd(g0, q - 1)
-    if g0 == 0:
-        g0 = q - 1
     if s is None:
         s = g0
     elif s < 1 or g0 % s:

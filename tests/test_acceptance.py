@@ -22,13 +22,13 @@ from invopoly.construct import (
 )
 from invopoly.criterion import (
     SubgroupInvolution,
+    check_iff_subgroup,
     check_involution,
     check_permutation,
     induced_subgroup_involution,
 )
 from invopoly.errors import HValueZero
 from invopoly.families import (
-    check_iff_subgroup,
     cor_exm_case_verdict,
     cor_exm_gcd_verdict,
     gen_cor_mdq1,

@@ -3,6 +3,7 @@ JSON documents, and the exit code contract."""
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -16,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invopoly import cli, errors
+from invopoly import cli, criterion, errors
 from invopoly.families import FAMILIES
 
+GOLDENS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "cli_goldens.json")
 ENV = dict(os.environ)
 ENV["PYTHONPATH"] = os.pathsep.join(
     [os.path.join(os.path.dirname(__file__), "..", "src")]
@@ -452,3 +454,44 @@ def test_cli_fuzz_ends_in_a_verdict_or_one_error_line(argv):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
     assert elapsed < 1.0, (argv, elapsed)
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_cli_goldens_replay():
+    # every recorded command keeps its exit code and its stdout, byte for byte
+    with open(GOLDENS) as fh:
+        goldens = json.load(fh)
+    changed = []
+    for key, want in goldens.items():
+        rc, out, _ = _in_process(json.loads(key))
+        if (rc, hashlib.sha256(out.encode()).hexdigest()) != (want["rc"], want["stdout_sha256"]):
+            changed.append((key, rc))
+    assert goldens and not changed
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "lift", "--field", "2^6", "--params", "q=8,m=2,r=8,h=1", "--cap", "0"],
+    ["construct", "general", "--field", "2^8", "--s", "15", "--sigma", "inverse",
+     "--r", "1", "--cap", "0"],
+])
+def test_one_walk_per_decided_run(argv, monkeypatch):
+    # the constructor decides; the command line reads its verdict back, and an
+    # involution needs no permutation walk
+    walks = []
+    walk = criterion._walk
+
+    def counting(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(criterion, "_walk", counting)
+    rc, out, err = _in_process(argv)
+    assert rc == 0, err
+    assert "criterion: true\npermutation: true\n" in out
+    assert len(walks) == 1

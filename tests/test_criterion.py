@@ -24,8 +24,8 @@ from invopoly.errors import (
     RSquareCondition,
 )
 from invopoly.gf import make_field
-from invopoly.oracle import DEFAULT_CAP, sweep
-from invopoly.polyring import RhsForm, SparsePoly, parse_poly
+from invopoly.oracle import sweep
+from invopoly.polyring import DEFAULT_CAP, RhsForm, SparsePoly, parse_poly
 
 
 def _random_rhs(field, rng):
@@ -213,9 +213,11 @@ def _check_against_references(rhs):
     assert inv.failing_z == failing
     if perm.gcd_ok:
         assert perm.witness == witness
-    # the memo both checks shared holds values of h on mu_d only
+    # the memo both checks shared holds values of h on mu_d only, and the
+    # involution report, which a second check reads back
     _, mu = rhs.field.subgroup(rhs.d)
-    assert set(rhs._h_values) <= {z.enc for z in mu}
+    assert set(rhs._memo["h"]) <= {z.enc for z in mu}
+    assert rhs._memo["report"] is inv and check_involution(rhs) is inv
 
 
 @PROPERTY_SETTINGS

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from invopoly.criterion import check_involution
+from invopoly.criterion import check_iff_subgroup, check_involution
 from invopoly.errors import (
     BaseNotInvolution,
     EvenQNoSolution,
@@ -29,7 +29,6 @@ from invopoly.families import (
     _cond_geometric,
     cor_exm_case_verdict,
     cor_exm_gcd_verdict,
-    check_iff_subgroup,
     gen_conj_symmetric,
     gen_cor_exm,
     gen_cor_m4d4,
@@ -367,6 +366,15 @@ def test_lift_negation_and_frobenius(f4, f9, f16, f3_6):
                               ext=f16)
     assert str(lifted2.expand()) == "x^4"
     assert _is_involution(lifted2.expand())
+
+
+def test_lift_builds_its_own_extension_from_a_prime_base(f5):
+    # without ext the lift makes F_125 itself, and F_5 embeds by its scalars
+    h = SparsePoly.from_pairs(f5, [(0, f5.element(4))])
+    lifted = lift_involution(f5, 3, 1, h)
+    assert lifted == lift_involution(f5, 3, 1, h, ext=make_field(5, 3))
+    assert str(lifted.expand()) == "a^62*x"
+    assert _is_involution(lifted.expand())
 
 
 def test_lift_rejections(f4, f9, f16, f64):

@@ -62,18 +62,12 @@ def test_affine_involutions_of_f5(f5):
         assert report.fixed_point_count == 1
 
 
-def test_sweep_cap(f256):
-    with pytest.raises(FieldTooLarge):
-        sweep(parse_poly(f256, "x"), cap=100)
-    assert sweep(parse_poly(f256, "x"), cap=256).is_involution
-
-
 def test_value_tables_stop_at_the_default_cap():
-    # a cap above DEFAULT_CAP does not lift the value-table limit
+    # 2^21 is past DEFAULT_CAP: the sweep is refused before any value is computed
     f = parse_poly(make_field(2, 21), "x^2")
     start = time.perf_counter()
     with pytest.raises(FieldTooLarge, match="value table"):
-        sweep(f, cap=1 << 22)
+        sweep(f)
     assert time.perf_counter() - start < 0.5
 
 

@@ -45,3 +45,15 @@ def test_only_cli_imports_oracle(path):
     # criterion alone; only the command line (and the package's re-exports)
     # may run the oracle
     assert not _imports_oracle(path.name)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_names_from_other_modules(path):
+    # each module keeps its _-prefixed names to itself; what another module
+    # needs is public (the walk over mu_d, say, stays inside criterion)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = sorted(
+        (node.lineno, f"{node.module}.{alias.name}")
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names if alias.name.startswith("_"))
+    assert not private, f"{path.name}: imports private names {private}"
