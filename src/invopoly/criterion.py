@@ -138,12 +138,12 @@ def phi_map(rhs: RhsForm, z: Element) -> Element:
 def _walk(rhs: RhsForm):
     """The one walk over mu_d behind every subgroup-level test of rhs.
 
-    Returns (h_at, points): h_at evaluates h at an encoding, and points
-    yields the encodings (z, h(z)) for z = omega^0, omega^1, ...,
-    omega^{d-1}, one at a time, so a caller that stops at its first failing
-    z evaluates h no further.  h_at looks each point up in the form's memo
-    first and stores what it computes there.  d above DEFAULT_CAP is
-    refused (FieldTooLarge) before any point is visited.
+    Returns (h_at, points, omega): h_at evaluates h at an encoding; points
+    yields the encodings (z, h(z)) for z = omega^0, ..., omega^{d-1}, one at
+    a time, so a caller that stops at its first failing z evaluates h no
+    further (and keeps any z^e as a running product of omega^e).  h_at looks
+    each point up in the form's memo first and stores what it computes
+    there.  d above DEFAULT_CAP is refused (FieldTooLarge) before any point.
     """
     field, d, h, memo = rhs.field, rhs.d, rhs.h, rhs._memo["h"]
     if d > DEFAULT_CAP:
@@ -167,14 +167,8 @@ def _walk(rhs: RhsForm):
             memo[z] = v
         return v
 
-    def points():
-        omega = field.pow(field.alpha.enc, (field.q - 1) // d)
-        z = 1
-        for _ in range(d):
-            yield z, h_at(z)
-            z = mul(z, omega)
-
-    return h_at, points()
+    omega = pow_(field.alpha.enc, (field.q - 1) // d)
+    return h_at, ((z, h_at(z)) for z in field.powers(omega, d)), omega
 
 
 def first_root(rhs: RhsForm) -> Element | None:
@@ -202,14 +196,16 @@ def _decide_involution(rhs: RhsForm) -> CriterionReport:
     gcd_ok = gcd(r, s) == 1
     if (r * r - 1) % s:
         return CriterionReport(False, gcd_ok, True, None, False)
-    zexp = (r * r - 1) // s
     field = rhs.field
     mul, pow_ = field.mul, field.pow
-    h_at, points = _walk(rhs)
+    h_at, points, omega = _walk(rhs)
+    zr = zz = 1   # z^r and z^((r^2-1)/s), running products past z = 1
     for z, hz in points:
-        if hz == 0 or mul(mul(pow_(z, zexp), h_at(mul(pow_(z, r), pow_(hz, s)))),
-                          pow_(hz, r)) != 1:
+        if hz == 0 or mul(mul(zz, h_at(mul(zr, pow_(hz, s)))), pow_(hz, r)) != 1:
             return CriterionReport(True, gcd_ok, False, Element(field, z), False)
+        if z == 1:   # most refusals fail here, before any step is needed
+            step_r, step_z = pow_(omega, r), pow_(omega, (r * r - 1) // s)
+        zr, zz = mul(zr, step_r), mul(zz, step_z)
     return CriterionReport(True, gcd_ok, True, None, True)
 
 
@@ -230,10 +226,12 @@ def check_permutation(rhs: RhsForm) -> PermutationCheck:
     mul, pow_ = field.mul, field.pow
     r, s = rhs.r, rhs.s
     seen: dict[int, int] = {}
-    for z, hz in _walk(rhs)[1]:
+    _, points, omega = _walk(rhs)
+    step, zr = pow_(omega, r), 1
+    for z, hz in points:
         if hz == 0:
             return PermutationCheck(False, True, witness=Element(field, z))
-        gz = mul(pow_(z, r), pow_(hz, s))
+        gz, zr = mul(zr, pow_(hz, s)), mul(zr, step)
         if gz in seen:
             return PermutationCheck(False, True,
                                     witness=(Element(field, seen[gz]), Element(field, z)))

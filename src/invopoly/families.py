@@ -333,8 +333,8 @@ def gen_reversal(ext: Field, r: int, deg: int, coeffs: dict) -> ReversalOutcome:
     _gate(checks)
     q = _split_square(ext)
     rhs = RhsForm(ext, r, q - 1, h)
-    root = first_root(rhs)
-    return ReversalOutcome(rhs, root is None, root)
+    verdict = check_involution(rhs).verdict   # kept on the form; first_root reads its h values
+    return ReversalOutcome(rhs, verdict, None if verdict else first_root(rhs))
 
 
 def cor_exm_case_verdict(ext: Field, a) -> bool:

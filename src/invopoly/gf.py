@@ -25,11 +25,14 @@ identical results.  There pow, in extensions of degree n > 2, walks the
 base-p digits of the exponent: each conjugate a^(p^j) is one lookup in a
 Frobenius table built on the first power, and only nonzero digits cost a
 kernel mul (about 40 us per power at 2^20 and 150 us at 3^12, against 105
-and 470 us by square-and-multiply).  Value tables walk alpha through
-_times (1-1.5 us per element at 3^11, 5^7 and 7^6), and discrete logs (the
-k printed in 'a^k') go by Pohlig-Hellman over the prime factors of q - 1,
-found once per field, with one baby-step giant-step table of about sqrt(l)
-entries per prime l, built on first use and kept on the field.
+and 470 us by square-and-multiply).  Value tables sum their terms in log
+order as plain integers (XOR in characteristic 2, spread digits in odd
+extensions) through lifted() and reduce each sum once; above TABLE_LIMIT
+extensions walk alpha through _times instead (1-1.5 us per element at
+3^11, 5^7 and 7^6).  Discrete logs (the k printed in 'a^k') go by
+Pohlig-Hellman over the prime factors of q - 1, found once per field, with
+one baby-step giant-step table of about sqrt(l) entries per prime l, built
+on first use and kept on the field.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from __future__ import annotations
 import math
 import operator
 import re
+from array import array
+from itertools import accumulate, repeat
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -203,6 +208,20 @@ def _odd_extension_kernel(p: int, n: int, modulus: tuple[int, ...]):
     return add, mul, _pow_by_squaring(mul)
 
 
+def _lane_tables(p: int, n: int, w: int) -> tuple[int, list[list[int]]]:
+    """(g*w, tables) for n base-p digits spread w bits apart: tables of 2^(g*w)
+    entries, at most 2^_LOOKUP_BITS (or 2^w) and not much more than p^n, map
+    each group of g spread digits to its residues mod p at its place."""
+    g = max(1, min(_LOOKUP_BITS, (p**n).bit_length()) // w)
+    g = -(-n // -(-n // g))   # the same groups, balanced
+    reds = [[0] for _ in range(0, n, g)]
+    for i in range(n):
+        place = p**i
+        reds[i // g] = [r + v for v in [x % p * place for x in range(1 << w)]
+                        for r in reds[i // g]]
+    return g * w, reds
+
+
 def _linear_map(p: int, n: int, images: Sequence[int]):
     """The F_p-linear map on encodings (n > 1) that sends x^i to images[i],
     as lookups in chunk tables (the multiply by a constant of Shoup, CRYPTO
@@ -213,11 +232,10 @@ def _linear_map(p: int, n: int, images: Sequence[int]):
     m the fewest such chunks but at least two in odd extensions.
     Characteristic 2 XORs one or two images.  Otherwise images are stored
     spread, w = bitlen(m*(p-1)) bits per digit, to add as integers with no
-    carry between digits; tables of 2^(g*w) entries, at most 2^_LOOKUP_BITS
-    (or 2^w) and not much more than q, map each group of g spread digits to
-    its residues mod p at its base-p place.  A chunk table is built one
-    digit at a time, each entry a spread sum of two entries brought back
-    below p in every lane at once, so no entry costs a per-digit loop.
+    carry between digits, and _lane_tables brings each sum back to an
+    encoding.  A chunk table is built one digit at a time, each entry a
+    spread sum of two entries brought back below p in every lane at once,
+    so no entry costs a per-digit loop.
     """
     m = 1 if p == 2 else 2
     while m < n and p ** -(-n // m) > 1 << _LOOKUP_BITS:
@@ -246,14 +264,8 @@ def _linear_map(p: int, n: int, images: Sequence[int]):
             mults.append(reduce(mults[-1] + mults[0]))
         t = tables[i // k]
         tables[i // k] = t + [reduce(x + y) if x else y for y in mults for x in t]
-    g = max(1, min(_LOOKUP_BITS, (p**n).bit_length()) // w)
-    g = -(-n // -(-n // g))   # the same groups, balanced
-    reds = [[0] for _ in range(0, n, g)]
-    for i in range(n):
-        place = p**i
-        reds[i // g] = [r + v for v in [x % p * place for x in range(1 << w)]
-                        for r in reds[i // g]]
-    P, gw, gw2, gmask = p**k, g * w, 2 * g * w, (1 << g * w) - 1
+    gw, reds = _lane_tables(p, n, w)
+    P, gw2, gmask = p**k, 2 * gw, (1 << gw) - 1
     if m == 2 and len(reds) <= 3:
         (t0, t1), (r0, r1, r2) = tables, reds + [[0]] * (3 - len(reds))
 
@@ -463,7 +475,7 @@ class Field:
     """
 
     __slots__ = ("p", "n", "q", "modulus", "_alpha_enc", "_key", "_factors",
-                 "add", "mul", "_pow", "_exp", "_log", "_dlog_tables")
+                 "add", "mul", "_pow", "_exp", "_log", "_lift", "_dlog_tables")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
@@ -472,7 +484,7 @@ class Field:
         self.modulus = modulus
         self._key = (p, n, modulus)
         self.add, self.mul, self._pow = _kernel(p, n, modulus)
-        self._exp = self._log = None
+        self._exp = self._log = self._lift = None
         self._factors = factorize(self.q - 1)
         self._dlog_tables: dict[int, tuple[dict[int, int], int, int, int]] = {}
         self._alpha_enc = _find_primitive(self)
@@ -590,32 +602,73 @@ class Field:
             if e < 0:
                 raise DivisionByZero("negative power of zero")
             return 1 if e == 0 else 0
-        return self._pow(a, e % (self.q - 1))
+        e %= self.q - 1   # no pow for a base 1 or an exponent 0 or 1
+        return (a if e else 1) if e < 2 or a == 1 else self._pow(a, e)
 
     def term_values(self, c: int, e: int) -> list[int]:
-        """Encodings of c * x^e for every x, indexed by the encoding of x
-        (x^0 is 1 everywhere, x = 0 included)."""
+        """Encodings of c * x^e for every x, indexed by the encoding of x (x^0
+        is 1 everywhere, x = 0 included), without tables: x runs over alpha's
+        powers and c * x^e with it, each step a chunk-table multiply."""
         q = self.q
         if e == 0 or c == 0:
             return [c] * q
-        qm1 = q - 1
-        if self._log is not None:
-            exp, log = self._exp, self._log
-            lc = log[c]
-            out = [exp[(k * e + lc) % qm1] for k in log]
-        else:
-            # x runs over the powers of alpha, and c * x^e with it, each step
-            # a chunk-table multiply (by alpha, and by alpha^e)
-            out = [0] * q
-            times_alpha = _times(self.p, self.n, self.mul, self._alpha_enc)
-            times_step = _times(self.p, self.n, self.mul, self.pow(self._alpha_enc, e))
-            x, v = 1, c
-            for _ in range(qm1):
-                out[x] = v
-                x = times_alpha(x)
-                v = times_step(v)
-        out[0] = 0
+        out = [0] * q
+        times_alpha = _times(self.p, self.n, self.mul, self._alpha_enc)
+        times_step = _times(self.p, self.n, self.mul, self.pow(self._alpha_enc, e))
+        x, v = 1, c
+        for _ in range(q - 1):
+            out[x] = v
+            x = times_alpha(x)
+            v = times_step(v)
         return out
+
+    def lifted(self, terms: int):
+        """(lift, fold) to sum `terms` terms of a value table in log order, or
+        None where term_values walks each term (extensions above TABLE_LIMIT,
+        and single terms there).  lift[k] is alpha^k as an integer that adds
+        by + (XOR in characteristic 2) with no carry: its encoding, or in odd
+        extensions its digits w = bitlen(terms*(p-1)) bits apart, kept one per
+        field and rebuilt wider on demand.  fold reduces the sums by k into
+        encoding order, bar the entry at 0."""
+        exp, log, p, n, qm1 = self._exp, self._log, self.p, self.n, self.q - 1
+        if log is None and (n > 1 or terms < 2):
+            return None
+        if p == 2 or terms < 2:   # XOR sums, and single terms, are encodings
+            return exp, lambda sums: list(map(sums.__getitem__, log))
+        if self._lift is None or self._lift[0] < terms:
+            if n == 1:   # above TABLE_LIMIT, one walk of alpha's powers
+                exp = exp or list(self.powers(self._alpha_enc, qm1))
+
+                def fold(sums: list[int]) -> list[int]:
+                    out = [0] * (qm1 + 1)
+                    for x, v in zip(exp, sums):
+                        out[x] = v % p
+                    return out
+                self._lift = math.inf, exp, fold
+            else:
+                w = (terms * (p - 1)).bit_length()
+                spread = [0]
+                for i in range(n):
+                    spread = [x + (c << w * i) for c in range(p) for x in spread]
+                gw, reds = _lane_tables(p, n, w)
+                m, gw2, gw3 = (1 << gw) - 1, 2 * gw, 3 * gw
+                r0, r1, r2, r3 = (reds + [[0]] * 3)[:4]
+
+                def fold(sums: list[int]) -> list[int]:   # one lookup per group of lanes
+                    ordered = map(sums.__getitem__, log)
+                    if len(reds) <= 2:
+                        return [r0[s & m] + r1[s >> gw] for s in ordered]
+                    if len(reds) == 3:
+                        return [r0[s & m] + r1[s >> gw & m] + r2[s >> gw2] for s in ordered]
+                    if len(reds) == 4:
+                        return [r0[s & m] + r1[s >> gw & m] + r2[s >> gw2 & m] + r3[s >> gw3]
+                                for s in ordered]
+                    return [sum(r[s >> gw * j & m] for j, r in enumerate(reds)) for s in ordered]
+                lift = map(spread.__getitem__, exp)
+                # above 2^14 entries, 64-bit lanes in an array take a quarter of a list
+                lift = array("Q", lift) if qm1 >> 14 and n * w <= 64 else list(lift)
+                self._lift = ((1 << w) - 1) // (p - 1), lift, fold
+        return self._lift[1:]
 
     # -- multiplicative structure --------------------------------------------
 
@@ -669,15 +722,11 @@ class Field:
         the digits found in the subgroup of order prime^mult."""
         table = self._dlog_tables.get(prime)
         if table is None:
-            mul = self.mul
             gamma = self.pow(self._alpha_enc, (self.q - 1) // prime)
             m = math.isqrt(prime - 1) + 1
-            baby: dict[int, int] = {}
-            cur = 1
-            for j in range(m):
-                baby[cur] = j
-                cur = mul(cur, gamma)
-            table = (baby, self.pow(cur, -1), m, self.pow(self._alpha_enc, -cofactor))
+            *steps, last = self.powers(gamma, m + 1)
+            baby = {z: j for j, z in enumerate(steps)}
+            table = (baby, self.pow(last, -1), m, self.pow(self._alpha_enc, -cofactor))
             self._dlog_tables[prime] = table
         return table
 
@@ -686,12 +735,11 @@ class Field:
         if d < 1 or (self.q - 1) % d:
             raise NotADivisor(f"{d} does not divide q-1 = {self.q - 1}")
         omega = self.pow(self._alpha_enc, (self.q - 1) // d)
-        elems = [Element(self, 1)]
-        cur = 1
-        for _ in range(d - 1):
-            cur = self.mul(cur, omega)
-            elems.append(Element(self, cur))
-        return Element(self, omega), elems
+        return Element(self, omega), [Element(self, z) for z in self.powers(omega, d)]
+
+    def powers(self, a: int, count: int) -> Iterator[int]:
+        """a^0, a^1, ..., a^(count-1) on encodings, a running product."""
+        return accumulate(repeat(a, count - 1), self.mul, initial=1)
 
     # -- text forms ----------------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd
 
 from .errors import (
@@ -93,15 +93,36 @@ class SparsePoly:
             self.field, ((reduce_exponent(e, q), c) for e, c in self.terms.items()))
 
     def value_table(self) -> list[int]:
-        """Encodings of f(x) for every x, indexed by the encoding of x."""
-        f = self.field
-        if f.q > DEFAULT_CAP:
-            raise FieldTooLarge(f"value table over q = {f.q} exceeds {DEFAULT_CAP}")
-        out = None
-        for e, c in self.terms.items():
-            values = f.term_values(c.enc, e)
-            out = values if out is None else list(map(f.add, out, values))
-        return [0] * f.q if out is None else out
+        """Encodings of f(x) for every x, indexed by the encoding of x.
+
+        Summed in log order, x = alpha^k: c * x^e is lift[log c + k*e] (mod
+        q - 1) of Field.lifted, each term one pass of integer + (XOR in
+        characteristic 2), each sum reduced once at the end.  Without a
+        lifted table, Field.add sums each term's Field.term_values."""
+        f, terms = self.field, self.terms
+        q, qm1 = f.q, f.q - 1
+        if q > DEFAULT_CAP:
+            raise FieldTooLarge(f"value table over q = {q} exceeds {DEFAULT_CAP}")
+        if not terms:
+            return [0] * q
+        lifted = f.lifted(len(terms))
+        if lifted is None:
+            return reduce(lambda a, b: list(map(f.add, a, b)),
+                          (f.term_values(c.enc, e) for e, c in terms.items()))
+        lift, fold = lifted
+        sums = None
+        for e, c in terms.items():
+            lc = f.discrete_log(c)
+            ks = range(lc, lc + e * qm1, e) if e else [lc] * qm1
+            if sums is None:
+                sums = [lift[k % qm1] for k in ks]
+            elif f.p == 2:
+                sums = [s ^ lift[k % qm1] for s, k in zip(sums, ks)]
+            else:
+                sums = [s + lift[k % qm1] for s, k in zip(sums, ks)]
+        out = fold(sums)
+        out[0] = terms[0].enc if 0 in terms else 0
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePoly):
@@ -237,9 +258,7 @@ def interpolate_on_subgroup(field: Field, values: list[Element]) -> SparsePoly:
         raise ValueError("elements belong to different fields")
     add, mul = field.add, field.mul
     step = field.pow(field.alpha.enc, -((field.q - 1) // d))   # omega^{-1}
-    inv_powers = [1] * d
-    for j in range(1, d):
-        inv_powers[j] = mul(inv_powers[j - 1], step)
+    inv_powers = list(field.powers(step, d))
     nonzero = [(i, v.enc) for i, v in enumerate(values) if v.enc]
     dinv = field.pow(d % field.p, -1)
     coeffs = {}
@@ -267,12 +286,7 @@ def interpolate_table(field: Field, table: list[int]) -> SparsePoly:
     if len(table) != q:
         raise ValueError(f"table must have {q} entries, got {len(table)}")
     t = [field.element(v) for v in table]
-    on_units = []
-    x, alpha = 1, field.alpha.enc
-    for _ in range(q - 1):
-        on_units.append(t[x])
-        x = field.mul(x, alpha)
-    h = interpolate_on_subgroup(field, on_units)
+    h = interpolate_on_subgroup(field, [t[x] for x in field.powers(field.alpha.enc, q - 1)])
     pairs = [(0, t[0])] + [(k, c) for k, c in h.terms.items() if k]
     pairs.append((q - 1, h.coefficient(0) - t[0]))
     return SparsePoly.from_pairs(field, pairs)

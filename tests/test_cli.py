@@ -479,6 +479,7 @@ def test_cli_goldens_replay():
     ["family", "lift", "--field", "2^6", "--params", "q=8,m=2,r=8,h=1", "--cap", "0"],
     ["construct", "general", "--field", "2^8", "--s", "15", "--sigma", "inverse",
      "--r", "1", "--cap", "0"],
+    ["family", "thm-reversal", "--field", "5^2", "--params", "r=3,d=2,a0=1", "--cap", "0"],
 ])
 def test_one_walk_per_decided_run(argv, monkeypatch):
     # the constructor decides; the command line reads its verdict back, and an

@@ -110,6 +110,52 @@ def test_value_table_matches_pointwise_evaluation(f7, f9, f16, table_free):
                 assert table[x.enc] == f.evaluate(x).enc
 
 
+# table-backed fields of all three kernels: characteristic 2, prime, odd extension
+LIFT_FIELDS = [(2, n) for n in range(2, 9)] + [(5, 1), (13, 1), (3, 2), (3, 4), (7, 2), (5, 3)]
+
+
+@st.composite
+def _lift_polys(draw, field, min_terms, max_terms):
+    """Distinct exponents, a constant term, x^(q-1) and exponents >= q
+    among them, and now and then a second term that cancels the first."""
+    q = field.q
+    exps = st.one_of(st.integers(1, q - 1), st.sampled_from([0, q - 1, q, 2 * q - 1]),
+                     st.integers(q, 4 * q))
+    t = draw(st.integers(min_terms, max_terms))
+    es = draw(st.lists(exps, min_size=t, max_size=t, unique=True))
+    terms = {e: field.element(draw(st.integers(1, q - 1))) for e in es}
+    if draw(st.booleans()) and es[0] and es[0] + q - 1 not in terms:
+        terms[es[0] + q - 1] = -terms[es[0]]   # the same function, negated
+    return SparsePoly(field, terms)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_value_table_equals_evaluate_on_table_backed_fields(data):
+    # a fresh field sizes its lifted table for f; the first terms of f then
+    # reuse that wider table
+    field = make_field(*data.draw(st.sampled_from(LIFT_FIELDS)))
+    f = data.draw(_lift_polys(field, 1, field.q + 5))
+    g = SparsePoly(field, dict(list(f.terms.items())[:data.draw(st.integers(1, len(f.terms)))]))
+    for h in (f, g):
+        table = h.value_table()
+        assert table == [h.evaluate(x).enc for x in field.elements()]
+
+
+LARGE_LIFT_FIELDS = [make_field(2, 16), make_field(3, 10)]
+
+
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_value_table_equals_evaluate_on_the_largest_table_backed_fields(data):
+    field = data.draw(st.sampled_from(LARGE_LIFT_FIELDS))
+    f = data.draw(_lift_polys(field, 4, 9))
+    table = f.value_table()
+    rng = random.Random(len(f.terms))
+    for x in rng.sample(range(field.q), 300) + [0, 1]:
+        assert table[x] == f.evaluate(field.element(x)).enc
+
+
 def test_sparse_poly_merges_duplicate_exponents(f7):
     f = SparsePoly.from_pairs(f7, [(3, f7.element(4)), (3, f7.element(5))])
     assert f.coefficient(3).enc == 2
