@@ -11,14 +11,27 @@ map g(z) = z^r * h(z)^s on mu_d:
 A root of h on mu_d kills both properties (the whole coset above it maps
 to 0) and shows up here as phi(z) = 0.
 
-This module alone walks mu_d.  Every test here (first_root and
-check_iff_subgroup included) is one walk of an RhsForm, z = omega^0,
-omega^1, ..., omega^{d-1}, on integer encodings with the field's kernel
-(table lookups for q up to gf.TABLE_LIMIT), in that order, stopping at
-the first failing z.  h is evaluated by Horner's rule, lazily and at most
-once per point of mu_d for each form: the values are memoised on the
+This module alone walks mu_d.  Every test here (first_root,
+subgroup_data and check_iff_subgroup included) is one walk of an RhsForm,
+z = omega^0, omega^1, ..., omega^{d-1}, in that order, stopping at the
+first failing z.  On fields with log tables (q up to gf.TABLE_LIMIT) the
+walk is by index: h(omega^i) is one lifted sum in log order
+(Field.subgroup_logs), read as L_i = log h(omega^i) and decoded into
+
+  l(i) = (i*r + L_i) mod d,   n_i = (L_i + i*r - l(i))/d mod s,
+
+the index map and offsets from which construct_general interpolates h.
+Then g(omega^i) = omega^l(i), f is a permutation iff gcd(r, s) = 1 and l
+is injective, and (given the r-condition) phi(omega^i) = 1 iff
+l(l(i)) = i and n_l(i) + r*n_i = 0 (mod s), so every decision is on
+integers.  Above TABLE_LIMIT a discrete log costs more than a walk step,
+and the walk stays on encodings with the field's kernel: h by Horner's
+rule, g and phi as products; only subgroup_data, and its readers
+induced_subgroup_involution and check_iff_subgroup, take a discrete log
+per point there.  h is evaluated lazily and at most once per
+point of mu_d for each form: what the walk learns is memoised on the
 form, so check_involution (which also needs h(g(z)), again a point of
-mu_d) and check_permutation share them.  The form also keeps its
+mu_d) and check_permutation share it.  The form also keeps its
 involution report, so a constructor's decision is read back, not made
 again.  A decision costs at most d evaluations of h, never q, and a walk
 over d > polyring.DEFAULT_CAP points is refused with FieldTooLarge
@@ -136,47 +149,171 @@ def phi_map(rhs: RhsForm, z: Element) -> Element:
 # -- the walk over mu_d ------------------------------------------------------
 
 def _walk(rhs: RhsForm):
-    """The one walk over mu_d behind every subgroup-level test of rhs.
-
-    Returns (h_at, points, omega): h_at evaluates h at an encoding; points
-    yields the encodings (z, h(z)) for z = omega^0, ..., omega^{d-1}, one at
-    a time, so a caller that stops at its first failing z evaluates h no
-    further (and keeps any z^e as a running product of omega^e).  h_at looks
-    each point up in the form's memo first and stores what it computes
-    there.  d above DEFAULT_CAP is refused (FieldTooLarge) before any point.
-    """
-    field, d, h, memo = rhs.field, rhs.d, rhs.h, rhs._memo["h"]
+    """The one walk over mu_d behind every subgroup-level test of rhs: an
+    _IndexWalk on fields with log tables, an _EncodingWalk above
+    TABLE_LIMIT, as Field.subgroup_logs decides.  d above DEFAULT_CAP is
+    refused (FieldTooLarge) before any point."""
+    d = rhs.d
     if d > DEFAULT_CAP:
         raise FieldTooLarge(f"subgroup walk over d = {d} exceeds cap {DEFAULT_CAP}")
-    add, mul, pow_ = field.add, field.mul, field.pow
-    # Horner's rule over the exponents e_1 > ... > e_m of h:
-    # h(z) = ((c_1 z^{e_1-e_2} + c_2) z^{e_2-e_3} + ... + c_m) z^{e_m}
-    exps = sorted(h.terms, reverse=True) or [0]
-    steps = [(h.terms[e].enc, e - nxt) for e, nxt in zip(exps, exps[1:])]
-    last, low = h.coefficient(exps[-1]).enc, exps[-1]
+    logs = rhs.field.subgroup_logs(d, [(c.enc, e) for e, c in rhs.h.terms.items()])
+    return _EncodingWalk(rhs) if logs is None else _IndexWalk(rhs, logs)
 
-    def h_at(z: int) -> int:
-        v = memo.get(z)
-        if v is None:
-            v = 0
-            for c, gap in steps:
-                v = mul(add(v, c), z if gap == 1 else pow_(z, gap))
-            v = add(v, last)
-            if low:
-                v = mul(v, pow_(z, low))
-            memo[z] = v
-        return v
 
-    omega = pow_(field.alpha.enc, (field.q - 1) // d)
-    return h_at, ((z, h_at(z)) for z in field.powers(omega, d)), omega
+def _point(rhs: RhsForm, i: int) -> Element:
+    """omega^i = alpha^(s*i), the i-th point of the walk."""
+    field = rhs.field
+    return Element(field, field.pow(field.alpha.enc, rhs.s * i))
+
+
+def _decode(rhs: RhsForm, i: int, log_h: int) -> tuple[int, ...]:
+    """(l(i), n_i) from log_h = log h(omega^i), or () at a root (log_h = -1):
+    l(i) = (i*r + log_h) mod d and n_i = (log_h + i*r - l(i))/d mod s, so
+    that h(omega^i) = alpha^(d*n_i + l(i) - i*r), as construct_general
+    interpolates it, and g(omega^i) = omega^l(i)."""
+    if log_h < 0:
+        return ()
+    d, ir = rhs.d, i * rhs.r
+    li = (ir + log_h) % d
+    return li, (log_h + ir - li) // d % rhs.s
+
+
+class _IndexWalk:
+    """mu_d by index, z = omega^i, on a field with log tables.  h(z) is read
+    as its log, one lifted sum (Field.subgroup_logs), decoded into
+    (l(i), n_i) and memoised on the form by i, () at a root of h.  Every
+    decision is then on integers: g(omega^i) = omega^l(i), and phi(omega^i)
+    = 1 iff l(l(i)) = i and n_l(i) + r*n_i = 0 (mod s)."""
+
+    def __init__(self, rhs: RhsForm, logs):
+        self.rhs = rhs
+        memo = rhs._memo["h"]
+
+        def data(i: int) -> tuple[int, ...]:
+            v = memo.get(i)
+            if v is None:
+                v = memo[i] = _decode(rhs, i, logs(i))
+            return v
+        self.data = data
+
+    def first_root(self) -> Element | None:
+        data = self.data
+        return next((_point(self.rhs, i) for i in range(self.rhs.d) if not data(i)), None)
+
+    def first_phi_failure(self) -> Element | None:
+        data, r, s = self.data, self.rhs.r, self.rhs.s
+        for i in range(self.rhs.d):
+            a = data(i)
+            b = a and data(a[0])
+            if not b or b[0] != i or (b[1] + r * a[1]) % s:
+                return _point(self.rhs, i)
+        return None
+
+    def first_collision(self):
+        data, seen = self.data, {}
+        for i in range(self.rhs.d):
+            a = data(i)
+            if not a:
+                return _point(self.rhs, i)
+            j = seen.setdefault(a[0], i)
+            if j != i:
+                return _point(self.rhs, j), _point(self.rhs, i)
+        return None
+
+
+
+class _EncodingWalk:
+    """mu_d on encodings, above TABLE_LIMIT, where a log costs more than the
+    walk: z = omega^0, omega^1, ... as a running product, h(z) by Horner's
+    rule with the kernel, memoised on the form by the encoding of z.  g(z)
+    and phi(z) are kernel products; a caller that stops at its first
+    failing z evaluates h no further."""
+
+    def __init__(self, rhs: RhsForm):
+        field = rhs.field
+        self.rhs, self.field = rhs, field
+        h, memo = rhs.h, rhs._memo["h"]
+        add, mul, pow_ = field.add, field.mul, field.pow
+        # Horner's rule over the exponents e_1 > ... > e_m of h:
+        # h(z) = ((c_1 z^{e_1-e_2} + c_2) z^{e_2-e_3} + ... + c_m) z^{e_m}
+        exps = sorted(h.terms, reverse=True) or [0]
+        steps = [(h.terms[e].enc, e - nxt) for e, nxt in zip(exps, exps[1:])]
+        last, low = h.coefficient(exps[-1]).enc, exps[-1]
+
+        def h_at(z: int) -> int:
+            v = memo.get(z)
+            if v is None:
+                v = 0
+                for c, gap in steps:
+                    v = mul(add(v, c), z if gap == 1 else pow_(z, gap))
+                v = add(v, last)
+                if low:
+                    v = mul(v, pow_(z, low))
+                memo[z] = v
+            return v
+        self.h_at = h_at
+        self.omega = pow_(field.alpha.enc, (field.q - 1) // rhs.d)
+
+    def points(self):
+        """(z, h(z)) for z = omega^0, ..., omega^{d-1}, one at a time."""
+        h_at = self.h_at
+        return ((z, h_at(z)) for z in self.field.powers(self.omega, self.rhs.d))
+
+    def data(self, i: int) -> tuple[int, ...]:
+        hz = self.h_at(self.field.pow(self.omega, i))
+        return _decode(self.rhs, i, self.field.discrete_log(Element(self.field, hz)) if hz else -1)
+
+    def first_root(self) -> Element | None:
+        return next((Element(self.field, z) for z, hz in self.points() if hz == 0), None)
+
+    def first_phi_failure(self) -> Element | None:
+        field, r, s, h_at = self.field, self.rhs.r, self.rhs.s, self.h_at
+        mul, pow_ = field.mul, field.pow
+        zr = zz = 1   # z^r and z^((r^2-1)/s), running products past z = 1
+        for z, hz in self.points():
+            if hz == 0 or mul(mul(zz, h_at(mul(zr, pow_(hz, s)))), pow_(hz, r)) != 1:
+                return Element(field, z)
+            if z == 1:   # most refusals fail here, before any step is needed
+                step_r, step_z = pow_(self.omega, r), pow_(self.omega, (r * r - 1) // s)
+            zr, zz = mul(zr, step_r), mul(zz, step_z)
+        return None
+
+    def first_collision(self):
+        field = self.field
+        mul, pow_ = field.mul, field.pow
+        seen: dict[int, int] = {}
+        step, zr, s = pow_(self.omega, self.rhs.r), 1, self.rhs.s
+        for z, hz in self.points():
+            if hz == 0:
+                return Element(field, z)
+            gz, zr = mul(zr, pow_(hz, s)), mul(zr, step)
+            if gz in seen:
+                return Element(field, seen[gz]), Element(field, z)
+            seen[gz] = z
+        return None
 
 
 def first_root(rhs: RhsForm) -> Element | None:
     """The first z = omega^i of mu_d with h(z) = 0, as an Element, or None."""
-    for z, hz in _walk(rhs)[1]:
-        if hz == 0:
-            return Element(rhs.field, z)
-    return None
+    return _walk(rhs).first_root()
+
+
+def subgroup_data(rhs: RhsForm) -> tuple[tuple[int, ...], tuple[int, ...]] | Element:
+    """(l, offsets) with h(omega^i) = alpha^(d*offsets[i] + l[i] - i*r) at
+    every point of mu_d, read back from h: the inverse of construct_general's
+    value step, l(i) = (i*r + L_i) mod d and offsets[i] = (L_i + i*r -
+    l(i))/d mod s for L_i = log h(omega^i).  The first root of h on mu_d,
+    as an Element, when there is one.  Without log tables each L_i is a
+    discrete log."""
+    data = _walk(rhs).data
+    pairs = []
+    for i in range(rhs.d):
+        a = data(i)
+        if not a:
+            return _point(rhs, i)
+        pairs.append(a)
+    l, offsets = zip(*pairs)
+    return l, offsets
 
 
 # -- the criteria ------------------------------------------------------------
@@ -196,17 +333,8 @@ def _decide_involution(rhs: RhsForm) -> CriterionReport:
     gcd_ok = gcd(r, s) == 1
     if (r * r - 1) % s:
         return CriterionReport(False, gcd_ok, True, None, False)
-    field = rhs.field
-    mul, pow_ = field.mul, field.pow
-    h_at, points, omega = _walk(rhs)
-    zr = zz = 1   # z^r and z^((r^2-1)/s), running products past z = 1
-    for z, hz in points:
-        if hz == 0 or mul(mul(zz, h_at(mul(zr, pow_(hz, s)))), pow_(hz, r)) != 1:
-            return CriterionReport(True, gcd_ok, False, Element(field, z), False)
-        if z == 1:   # most refusals fail here, before any step is needed
-            step_r, step_z = pow_(omega, r), pow_(omega, (r * r - 1) // s)
-        zr, zz = mul(zr, step_r), mul(zz, step_z)
-    return CriterionReport(True, gcd_ok, True, None, True)
+    failing = _walk(rhs).first_phi_failure()
+    return CriterionReport(True, gcd_ok, failing is None, failing, failing is None)
 
 
 def confirm_involution(rhs: RhsForm, message: str) -> RhsForm:
@@ -219,24 +347,10 @@ def confirm_involution(rhs: RhsForm, message: str) -> RhsForm:
 
 def check_permutation(rhs: RhsForm) -> PermutationCheck:
     """Decide whether x^r * h(x^s) permutes F_q via g on mu_d."""
-    gcd_ok = gcd(rhs.r, rhs.s) == 1
-    if not gcd_ok:
+    if gcd(rhs.r, rhs.s) != 1:
         return PermutationCheck(False, False)
-    field = rhs.field
-    mul, pow_ = field.mul, field.pow
-    r, s = rhs.r, rhs.s
-    seen: dict[int, int] = {}
-    _, points, omega = _walk(rhs)
-    step, zr = pow_(omega, r), 1
-    for z, hz in points:
-        if hz == 0:
-            return PermutationCheck(False, True, witness=Element(field, z))
-        gz, zr = mul(zr, pow_(hz, s)), mul(zr, step)
-        if gz in seen:
-            return PermutationCheck(False, True,
-                                    witness=(Element(field, seen[gz]), Element(field, z)))
-        seen[gz] = z
-    return PermutationCheck(True, True)
+    witness = _walk(rhs).first_collision()
+    return PermutationCheck(witness is None, True, witness)
 
 
 def induced_subgroup_involution(rhs: RhsForm) -> SubgroupInvolution:
@@ -247,24 +361,14 @@ def induced_subgroup_involution(rhs: RhsForm) -> SubgroupInvolution:
     converse direction fails in general, so success here proves nothing
     about f on its own.
     """
-    field = rhs.field
-    mul, pow_ = field.mul, field.pow
-    r, s = rhs.r, rhs.s
-    index: dict[int, int] = {}   # z = omega^i -> i
-    images = []
-    for i, (z, hz) in enumerate(_walk(rhs)[1]):
-        if hz == 0:
-            raise NotInvolutionOnSubgroup(
-                f"g({Element(field, z)}) = 0 leaves the subgroup", witness=Element(field, z))
-        index[z] = i
-        images.append(mul(pow_(z, r), pow_(hz, s)))
-    mapping = [index[g] for g in images]
+    decoded = subgroup_data(rhs)
+    if isinstance(decoded, Element):
+        raise NotInvolutionOnSubgroup(f"g({decoded}) = 0 leaves the subgroup", witness=decoded)
+    mapping = decoded[0]   # g(omega^i) = omega^l(i)
     for i in range(rhs.d):
         if mapping[mapping[i]] != i:
-            omega = field.pow(field.alpha.enc, (field.q - 1) // rhs.d)
             raise NotInvolutionOnSubgroup(
-                f"g o g moves omega^{i} to omega^{mapping[mapping[i]]}",
-                witness=Element(field, field.pow(omega, i)))
+                f"g o g moves omega^{i} to omega^{mapping[mapping[i]]}", witness=_point(rhs, i))
     return SubgroupInvolution(mapping)
 
 
@@ -277,10 +381,11 @@ def check_iff_subgroup(rhs: RhsForm) -> bool:
         raise HypothesisViolated(f"r^2 = 1 mod s fails for r = {r}, s = {s}")
     if gcd(s, d) != 1:
         raise HypothesisViolated(f"gcd(s, d) = {gcd(s, d)} must be 1")
-    field = rhs.field
-    for z, v in _walk(rhs)[1]:
-        if v == 0 or field.pow(v, d) != 1:
-            raise HypothesisViolated(
-                f"h({Element(field, z)}) = {Element(field, v)} is outside mu_{d}",
-                witness=Element(field, z))
+    data = _walk(rhs).data
+    for i in range(d):
+        # h(omega^i) = alpha^(d*n_i + l(i) - i*r) lies in mu_d iff s divides that
+        a = data(i)
+        if not a or (d * a[1] + a[0] - i * r) % s:
+            z = _point(rhs, i)
+            raise HypothesisViolated(f"h({z}) = {rhs.h.evaluate(z)} is outside mu_{d}", witness=z)
     return check_involution(rhs).verdict

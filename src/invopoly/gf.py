@@ -29,10 +29,13 @@ and 470 us by square-and-multiply).  Value tables sum their terms in log
 order as plain integers (XOR in characteristic 2, spread digits in odd
 extensions) through lifted() and reduce each sum once; above TABLE_LIMIT
 extensions walk alpha through _times instead (1-1.5 us per element at
-3^11, 5^7 and 7^6).  Discrete logs (the k printed in 'a^k') go by
-Pohlig-Hellman over the prime factors of q - 1, found once per field, with
-one baby-step giant-step table of about sqrt(l) entries per prime l, built
-on first use and kept on the field.
+3^11, 5^7 and 7^6).  The same lifted sums serve the subgroup transform
+(subgroup_logs): a sum of c_j * omega^(t_j * x) on mu_d, one per point,
+behind both interpolation on mu_d and the criterion's walk.  Discrete
+logs (the k printed in 'a^k') go by Pohlig-Hellman over the prime
+factors of q - 1, found once per field, with one baby-step giant-step
+table of about sqrt(l) entries per prime l, built on first use and kept
+on the field.
 """
 
 from __future__ import annotations
@@ -623,18 +626,19 @@ class Field:
         return out
 
     def lifted(self, terms: int):
-        """(lift, fold) to sum `terms` terms of a value table in log order, or
-        None where term_values walks each term (extensions above TABLE_LIMIT,
-        and single terms there).  lift[k] is alpha^k as an integer that adds
-        by + (XOR in characteristic 2) with no carry: its encoding, or in odd
-        extensions its digits w = bitlen(terms*(p-1)) bits apart, kept one per
-        field and rebuilt wider on demand.  fold reduces the sums by k into
-        encoding order, bar the entry at 0."""
+        """(lift, fold, reduce) to sum `terms` terms in log order, or None
+        where term_values walks each term (extensions above TABLE_LIMIT, and
+        single terms there).  lift[k] is alpha^k as an integer that adds by
+        + (XOR in characteristic 2) with no carry: its encoding, or in odd
+        extensions its digits w = bitlen(terms*(p-1)) bits apart, kept one
+        per field and rebuilt wider on demand.  fold reduces a value
+        table's sums by k into encoding order, bar the entry at 0; reduce
+        brings one sum back to an encoding."""
         exp, log, p, n, qm1 = self._exp, self._log, self.p, self.n, self.q - 1
         if log is None and (n > 1 or terms < 2):
             return None
         if p == 2 or terms < 2:   # XOR sums, and single terms, are encodings
-            return exp, lambda sums: list(map(sums.__getitem__, log))
+            return exp, lambda sums: list(map(sums.__getitem__, log)), lambda s: s
         if self._lift is None or self._lift[0] < terms:
             if n == 1:   # above TABLE_LIMIT, one walk of alpha's powers
                 exp = exp or list(self.powers(self._alpha_enc, qm1))
@@ -644,7 +648,7 @@ class Field:
                     for x, v in zip(exp, sums):
                         out[x] = v % p
                     return out
-                self._lift = math.inf, exp, fold
+                self._lift = math.inf, exp, fold, p.__rmod__
             else:
                 w = (terms * (p - 1)).bit_length()
                 spread = [0]
@@ -664,11 +668,43 @@ class Field:
                         return [r0[s & m] + r1[s >> gw & m] + r2[s >> gw2 & m] + r3[s >> gw3]
                                 for s in ordered]
                     return [sum(r[s >> gw * j & m] for j, r in enumerate(reds)) for s in ordered]
+
+                def reduce(s: int) -> int:   # groups past the last look up 0 in [0]
+                    if len(reds) <= 4:
+                        return r0[s & m] + r1[s >> gw & m] + r2[s >> gw2 & m] + r3[s >> gw3]
+                    return sum(r[s >> gw * j & m] for j, r in enumerate(reds))
                 lift = map(spread.__getitem__, exp)
                 # above 2^14 entries, 64-bit lanes in an array take a quarter of a list
                 lift = array("Q", lift) if qm1 >> 14 and n * w <= 64 else list(lift)
-                self._lift = ((1 << w) - 1) // (p - 1), lift, fold
+                self._lift = ((1 << w) - 1) // (p - 1), lift, fold, reduce
         return self._lift[1:]
+
+    def subgroup_logs(self, d: int, terms: Sequence[tuple[int, int]]):
+        """The subgroup transform on logarithms, for omega = alpha^((q-1)/d)
+        and pairs (c_j, t_j) of nonzero encodings and integers: x -> the log
+        of sum_j c_j * omega^(t_j * x), or -1 where that sum is 0.  Each sum
+        is one lifted sum of lift[log c_j + (q-1)/d * t_j * x] (mod q - 1),
+        reduced once.  None without log tables (q above TABLE_LIMIT), where
+        callers add and multiply with the kernel."""
+        log = self._log
+        if log is None:
+            return None
+        qm1 = self.q - 1
+        lift, _, reduce = self.lifted(len(terms))
+        pairs = [(log[c], qm1 // d * t % qm1) for c, t in terms]
+        if self.p == 2:
+            def logs(x: int) -> int:
+                v = 0
+                for b, step in pairs:
+                    v ^= lift[(b + step * x) % qm1]
+                return log[v]
+        else:
+            def logs(x: int) -> int:
+                v = 0
+                for b, step in pairs:
+                    v += lift[(b + step * x) % qm1]
+                return log[reduce(v)]
+        return logs
 
     # -- multiplicative structure --------------------------------------------
 

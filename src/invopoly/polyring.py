@@ -109,7 +109,7 @@ class SparsePoly:
         if lifted is None:
             return reduce(lambda a, b: list(map(f.add, a, b)),
                           (f.term_values(c.enc, e) for e, c in terms.items()))
-        lift, fold = lifted
+        lift, fold, _ = lifted
         sums = None
         for e, c in terms.items():
             lc = f.discrete_log(c)
@@ -188,9 +188,10 @@ class RhsForm:
     @cached_property
     def _memo(self) -> dict:
         """What the criterion has learnt about this form, shared by every
-        subgroup-level check of it: under "h", h(z) by the encoding of each
-        point z of mu_d walked so far; under "report", the involution
-        report once decided."""
+        subgroup-level check of it: under "h", each point of mu_d walked so
+        far (with log tables, the decoded pair (l(i), n_i) of omega^i by
+        i; without, h(z) by the encoding of z); under "report", the
+        involution report once decided."""
         return {"h": {}, "report": None}
 
     def expand(self) -> SparsePoly:
@@ -249,24 +250,30 @@ def bound_full_interpolation(q: int) -> None:
 def interpolate_on_subgroup(field: Field, values: list[Element]) -> SparsePoly:
     """The unique h of degree < d with h(omega^i) = values[i] on the d-th
     roots of unity, via the inverse discrete Fourier transform
-    h_k = d^{-1} * sum_i values[i] * omega^{-ik}, on encodings."""
+    h_k = sum_i (values[i] / d) * omega^{-ik}.  With log tables each h_k is
+    one lifted sum in log order (Field.subgroup_logs at -k), reduced once;
+    above TABLE_LIMIT the kernel adds and multiplies encodings."""
     d = len(values)
     if d < 1 or (field.q - 1) % d:
         raise NotADivisor(f"{d} does not divide q-1 = {field.q - 1}")
     bound_subgroup_interpolation(d)
     if any(v.field != field for v in values):
         raise ValueError("elements belong to different fields")
+    dinv = field.pow(d % field.p, -1)
+    terms = [(field.mul(v.enc, dinv), i) for i, v in enumerate(values) if v.enc]
+    logs = field.subgroup_logs(d, terms)
+    if logs is not None:
+        alpha = field.alpha
+        return SparsePoly(field, {k: alpha**lk for k in range(d) if (lk := logs(-k)) >= 0})
     add, mul = field.add, field.mul
     step = field.pow(field.alpha.enc, -((field.q - 1) // d))   # omega^{-1}
     inv_powers = list(field.powers(step, d))
-    nonzero = [(i, v.enc) for i, v in enumerate(values) if v.enc]
-    dinv = field.pow(d % field.p, -1)
     coeffs = {}
     for k in range(d):
         acc = 0
-        for i, v in nonzero:
-            acc = add(acc, mul(v, inv_powers[i * k % d]))
-        coeffs[k] = Element(field, mul(dinv, acc))
+        for c, i in terms:
+            acc = add(acc, mul(c, inv_powers[i * k % d]))
+        coeffs[k] = Element(field, acc)
     return SparsePoly(field, coeffs)
 
 

@@ -8,6 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invopoly.construct import (
+    construct_general,
+    fixed_point_choices,
+    involutory_exponents,
+    partner_offset,
+)
 from invopoly.criterion import (
     SubgroupInvolution,
     check_involution,
@@ -15,6 +21,7 @@ from invopoly.criterion import (
     g_map,
     induced_subgroup_involution,
     phi_map,
+    subgroup_data,
 )
 from invopoly.errors import (
     FieldTooLarge,
@@ -23,9 +30,15 @@ from invopoly.errors import (
     PreconditionViolated,
     RSquareCondition,
 )
-from invopoly.gf import make_field
+from invopoly.gf import Element, make_field
 from invopoly.oracle import sweep
-from invopoly.polyring import DEFAULT_CAP, RhsForm, SparsePoly, parse_poly
+from invopoly.polyring import (
+    DEFAULT_CAP,
+    RhsForm,
+    SparsePoly,
+    interpolate_on_subgroup,
+    parse_poly,
+)
 
 
 def _random_rhs(field, rng):
@@ -204,6 +217,22 @@ def _pointwise_reference(rhs):
     return failing, witness
 
 
+def _subgroup_data_reference(rhs):
+    """(l, offsets) by search: l[i] is the index of g(omega^i) in mu_d and
+    offsets[i] the n in Z_s with alpha^(d*n + l[i] - i*r) = h(omega^i); or
+    the first root of h on mu_d."""
+    field, d, r, s = rhs.field, rhs.d, rhs.r, rhs.s
+    _, mu = field.subgroup(d)
+    l, offsets = [], []
+    for i, z in enumerate(mu):
+        hz = rhs.h.evaluate(z)
+        if hz.is_zero:
+            return z
+        l.append(mu.index(g_map(rhs, z)))
+        offsets.append(next(n for n in range(s) if field.pow_alpha(d * n + l[i] - i * r) == hz))
+    return tuple(l), tuple(offsets)
+
+
 def _check_against_references(rhs):
     report = sweep(rhs.expand())
     inv, perm = check_involution(rhs), check_permutation(rhs)
@@ -213,11 +242,15 @@ def _check_against_references(rhs):
     assert inv.failing_z == failing
     if perm.gcd_ok:
         assert perm.witness == witness
-    # the memo both checks shared holds values of h on mu_d only, and the
-    # involution report, which a second check reads back
+    # the memo both checks shared holds what the walk learnt of h on mu_d
+    # only (by the index i of omega^i where the field has log tables, by the
+    # encoding of z otherwise), and the involution report, which a second
+    # check reads back
     _, mu = rhs.field.subgroup(rhs.d)
-    assert set(rhs._memo["h"]) <= {z.enc for z in mu}
+    by_index = rhs.field.subgroup_logs(rhs.d, []) is not None
+    assert set(rhs._memo["h"]) <= (set(range(rhs.d)) if by_index else {z.enc for z in mu})
     assert rhs._memo["report"] is inv and check_involution(rhs) is inv
+    assert subgroup_data(rhs) == _subgroup_data_reference(rhs)
 
 
 @PROPERTY_SETTINGS
@@ -230,6 +263,53 @@ def test_criterion_matches_oracle_and_pointwise_reference(rhs):
 @given(data=st.data())
 def test_criterion_matches_references_without_tables(table_free, data):
     _check_against_references(data.draw(rhs_forms(table_free)))
+
+
+@st.composite
+def admissible_inputs(draw, fields):
+    """(field, s, sigma, r, offsets) that construct_general accepts."""
+    field = draw(st.sampled_from(fields))
+    q = field.q
+    s = draw(st.sampled_from([t for t in range(1, q) if (q - 1) % t == 0]))
+    d = (q - 1) // s
+    r = draw(st.sampled_from(involutory_exponents(s)))
+    order = draw(st.permutations(range(d)))
+    mapping = list(range(d))
+    for a, b in zip(order[::2], order[1::2]):
+        if draw(st.booleans()):
+            mapping[a], mapping[b] = b, a
+    offsets = [None] * d
+    for i in order:
+        if mapping[i] == i:
+            offsets[i] = draw(st.sampled_from(fixed_point_choices(s, r)))
+        elif offsets[i] is None:
+            offsets[i] = draw(st.integers(0, s - 1))
+            offsets[mapping[i]] = partner_offset(s, r, offsets[i])
+    return field, s, SubgroupInvolution(mapping), r, offsets
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_subgroup_data_decodes_construct_general(table_free, data):
+    fields = SMALL_FIELDS + [f for f in table_free if f.q <= 64]
+    field, s, sigma, r, offsets = data.draw(admissible_inputs(fields))
+    rhs = construct_general(field, s, sigma, r, offsets)
+    assert subgroup_data(rhs) == (sigma.mapping, tuple(offsets))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_construct_value_step_rebuilds_h_from_subgroup_data(table_free, data):
+    fields = SMALL_FIELDS + [f for f in table_free if f.q <= 64]
+    rhs = data.draw(rhs_forms(fields))
+    decoded = subgroup_data(rhs)
+    if isinstance(decoded, Element):   # a root of h on mu_d
+        assert rhs.h.evaluate(decoded).is_zero
+        return
+    l, offsets = decoded
+    field, d, r = rhs.field, rhs.d, rhs.r
+    values = [field.pow_alpha(d * offsets[i] + l[i] - i * r) for i in range(d)]
+    assert interpolate_on_subgroup(field, values) == rhs.h
 
 
 def test_criterion_refuses_subgroups_above_the_cap():
