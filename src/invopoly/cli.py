@@ -10,6 +10,7 @@ element so results are reproducible; exit codes encode the verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -356,6 +357,7 @@ def cmd_search(args) -> int:
     return 0
 
 
+@functools.cache   # built once per process; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     top = _Parser(prog="invopoly",
                   description="Construct and verify involutions x^r * h(x^s) over finite fields.")

@@ -31,11 +31,13 @@ induced_subgroup_involution and check_iff_subgroup, take a discrete log
 per point there.  h is evaluated lazily and at most once per
 point of mu_d for each form: what the walk learns is memoised on the
 form, so check_involution (which also needs h(g(z)), again a point of
-mu_d) and check_permutation share it.  The form also keeps its
-involution report, so a constructor's decision is read back, not made
-again.  A decision costs at most d evaluations of h, never q, and a walk
-over d > polyring.DEFAULT_CAP points is refused with FieldTooLarge
-before it starts.  g_map and phi_map are the same maps on single
+mu_d) and check_permutation share it, and the walk itself (with the
+transform Field.subgroup_logs sets up) is built once per form.  The form
+also keeps its involution report, so a constructor's decision is read
+back, not made again, and a true one answers check_permutation too.  A
+decision costs at most d evaluations of h, never q, and a walk over
+d > polyring.DEFAULT_CAP points is refused with FieldTooLarge before it
+starts.  g_map and phi_map are the same maps on single
 Elements, for callers and tests.
 """
 
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     FieldTooLarge,
@@ -53,7 +56,7 @@ from .errors import (
     PreconditionViolated,
     RSquareCondition,
 )
-from .gf import Element
+from .gf import Element, Field
 from .polyring import DEFAULT_CAP, RhsForm
 
 
@@ -151,22 +154,41 @@ def phi_map(rhs: RhsForm, z: Element) -> Element:
 def _walk(rhs: RhsForm):
     """The one walk over mu_d behind every subgroup-level test of rhs: an
     _IndexWalk on fields with log tables, an _EncodingWalk above
-    TABLE_LIMIT, as Field.subgroup_logs decides.  d above DEFAULT_CAP is
-    refused (FieldTooLarge) before any point."""
-    d = rhs.d
-    if d > DEFAULT_CAP:
-        raise FieldTooLarge(f"subgroup walk over d = {d} exceeds cap {DEFAULT_CAP}")
-    logs = rhs.field.subgroup_logs(d, [(c.enc, e) for e, c in rhs.h.terms.items()])
-    return _EncodingWalk(rhs) if logs is None else _IndexWalk(rhs, logs)
+    TABLE_LIMIT, as Field.subgroup_logs decides.  Built once per form and
+    kept on it.  d above DEFAULT_CAP is refused (FieldTooLarge) before any
+    point."""
+    memo = rhs._memo
+    walk = memo["walk"]
+    if walk is None:
+        d = rhs.d
+        if d > DEFAULT_CAP:
+            raise FieldTooLarge(f"subgroup walk over d = {d} exceeds cap {DEFAULT_CAP}")
+        logs = rhs.field.subgroup_logs(d, [(c.enc, e) for e, c in rhs.h.terms.items()])
+        # the walk sees the form's shape, not the form, so that keeping it
+        # on the form makes no reference cycle
+        shape = _Shape(rhs.field, rhs.r, rhs.s, d)
+        walk = memo["walk"] = (_EncodingWalk(shape, memo["h"], rhs.h) if logs is None
+                               else _IndexWalk(shape, memo["h"], logs))
+    return walk
 
 
-def _point(rhs: RhsForm, i: int) -> Element:
+class _Shape(NamedTuple):
+    """The field, r, s and d of a form: all that _point, _decode and the
+    walks read."""
+
+    field: Field
+    r: int
+    s: int
+    d: int
+
+
+def _point(rhs: RhsForm | _Shape, i: int) -> Element:
     """omega^i = alpha^(s*i), the i-th point of the walk."""
     field = rhs.field
     return Element(field, field.pow(field.alpha.enc, rhs.s * i))
 
 
-def _decode(rhs: RhsForm, i: int, log_h: int) -> tuple[int, ...]:
+def _decode(rhs: RhsForm | _Shape, i: int, log_h: int) -> tuple[int, ...]:
     """(l(i), n_i) from log_h = log h(omega^i), or () at a root (log_h = -1):
     l(i) = (i*r + log_h) mod d and n_i = (log_h + i*r - l(i))/d mod s, so
     that h(omega^i) = alpha^(d*n_i + l(i) - i*r), as construct_general
@@ -185,39 +207,38 @@ class _IndexWalk:
     decision is then on integers: g(omega^i) = omega^l(i), and phi(omega^i)
     = 1 iff l(l(i)) = i and n_l(i) + r*n_i = 0 (mod s)."""
 
-    def __init__(self, rhs: RhsForm, logs):
-        self.rhs = rhs
-        memo = rhs._memo["h"]
+    def __init__(self, shape: _Shape, memo: dict, logs):
+        self.shape = shape
 
         def data(i: int) -> tuple[int, ...]:
             v = memo.get(i)
             if v is None:
-                v = memo[i] = _decode(rhs, i, logs(i))
+                v = memo[i] = _decode(shape, i, logs(i))
             return v
         self.data = data
 
     def first_root(self) -> Element | None:
         data = self.data
-        return next((_point(self.rhs, i) for i in range(self.rhs.d) if not data(i)), None)
+        return next((_point(self.shape, i) for i in range(self.shape.d) if not data(i)), None)
 
     def first_phi_failure(self) -> Element | None:
-        data, r, s = self.data, self.rhs.r, self.rhs.s
-        for i in range(self.rhs.d):
+        data, r, s = self.data, self.shape.r, self.shape.s
+        for i in range(self.shape.d):
             a = data(i)
             b = a and data(a[0])
             if not b or b[0] != i or (b[1] + r * a[1]) % s:
-                return _point(self.rhs, i)
+                return _point(self.shape, i)
         return None
 
     def first_collision(self):
         data, seen = self.data, {}
-        for i in range(self.rhs.d):
+        for i in range(self.shape.d):
             a = data(i)
             if not a:
-                return _point(self.rhs, i)
+                return _point(self.shape, i)
             j = seen.setdefault(a[0], i)
             if j != i:
-                return _point(self.rhs, j), _point(self.rhs, i)
+                return _point(self.shape, j), _point(self.shape, i)
         return None
 
 
@@ -229,10 +250,9 @@ class _EncodingWalk:
     and phi(z) are kernel products; a caller that stops at its first
     failing z evaluates h no further."""
 
-    def __init__(self, rhs: RhsForm):
-        field = rhs.field
-        self.rhs, self.field = rhs, field
-        h, memo = rhs.h, rhs._memo["h"]
+    def __init__(self, shape: _Shape, memo: dict, h):
+        field = shape.field
+        self.shape, self.field = shape, field
         add, mul, pow_ = field.add, field.mul, field.pow
         # Horner's rule over the exponents e_1 > ... > e_m of h:
         # h(z) = ((c_1 z^{e_1-e_2} + c_2) z^{e_2-e_3} + ... + c_m) z^{e_m}
@@ -252,22 +272,22 @@ class _EncodingWalk:
                 memo[z] = v
             return v
         self.h_at = h_at
-        self.omega = pow_(field.alpha.enc, (field.q - 1) // rhs.d)
+        self.omega = pow_(field.alpha.enc, (field.q - 1) // shape.d)
 
     def points(self):
         """(z, h(z)) for z = omega^0, ..., omega^{d-1}, one at a time."""
         h_at = self.h_at
-        return ((z, h_at(z)) for z in self.field.powers(self.omega, self.rhs.d))
+        return ((z, h_at(z)) for z in self.field.powers(self.omega, self.shape.d))
 
     def data(self, i: int) -> tuple[int, ...]:
         hz = self.h_at(self.field.pow(self.omega, i))
-        return _decode(self.rhs, i, self.field.discrete_log(Element(self.field, hz)) if hz else -1)
+        return _decode(self.shape, i, self.field.discrete_log(Element(self.field, hz)) if hz else -1)
 
     def first_root(self) -> Element | None:
         return next((Element(self.field, z) for z, hz in self.points() if hz == 0), None)
 
     def first_phi_failure(self) -> Element | None:
-        field, r, s, h_at = self.field, self.rhs.r, self.rhs.s, self.h_at
+        field, r, s, h_at = self.field, self.shape.r, self.shape.s, self.h_at
         mul, pow_ = field.mul, field.pow
         zr = zz = 1   # z^r and z^((r^2-1)/s), running products past z = 1
         for z, hz in self.points():
@@ -282,7 +302,7 @@ class _EncodingWalk:
         field = self.field
         mul, pow_ = field.mul, field.pow
         seen: dict[int, int] = {}
-        step, zr, s = pow_(self.omega, self.rhs.r), 1, self.rhs.s
+        step, zr, s = pow_(self.omega, self.shape.r), 1, self.shape.s
         for z, hz in self.points():
             if hz == 0:
                 return Element(field, z)
@@ -346,9 +366,14 @@ def confirm_involution(rhs: RhsForm, message: str) -> RhsForm:
 
 
 def check_permutation(rhs: RhsForm) -> PermutationCheck:
-    """Decide whether x^r * h(x^s) permutes F_q via g on mu_d."""
+    """Decide whether x^r * h(x^s) permutes F_q via g on mu_d.  A kept
+    involution report that holds answers without a walk: an involution is
+    a bijection."""
     if gcd(rhs.r, rhs.s) != 1:
         return PermutationCheck(False, False)
+    report = rhs._memo["report"]
+    if report is not None and report.verdict:
+        return PermutationCheck(True, True)
     witness = _walk(rhs).first_collision()
     return PermutationCheck(witness is None, True, witness)
 

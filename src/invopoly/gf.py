@@ -396,6 +396,11 @@ def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
     raise NotIrreducible(f"no monic irreducible of degree {n} over Z_{p}")  # pragma: no cover
 
 
+def _unchanged(sums):
+    """reduce_sums and reduce where sums are already encodings."""
+    return sums
+
+
 class Element:
     """An element of a Field, held as its integer encoding."""
 
@@ -626,29 +631,23 @@ class Field:
         return out
 
     def lifted(self, terms: int):
-        """(lift, fold, reduce) to sum `terms` terms in log order, or None
-        where term_values walks each term (extensions above TABLE_LIMIT, and
-        single terms there).  lift[k] is alpha^k as an integer that adds by
-        + (XOR in characteristic 2) with no carry: its encoding, or in odd
-        extensions its digits w = bitlen(terms*(p-1)) bits apart, kept one
-        per field and rebuilt wider on demand.  fold reduces a value
-        table's sums by k into encoding order, bar the entry at 0; reduce
-        brings one sum back to an encoding."""
+        """(lift, reduce_sums, reduce) to sum `terms` terms in log order, or
+        None where term_values walks each term (extensions above
+        TABLE_LIMIT, and single terms there).  lift[k] is alpha^k as an
+        integer that adds by + (XOR in characteristic 2) with no carry: its
+        encoding, or in odd extensions its digits w = bitlen(terms*(p-1))
+        bits apart, kept one per field and rebuilt wider on demand.
+        reduce_sums brings a list of sums back to encodings, in the order
+        given; reduce brings one sum back."""
         exp, log, p, n, qm1 = self._exp, self._log, self.p, self.n, self.q - 1
         if log is None and (n > 1 or terms < 2):
             return None
         if p == 2 or terms < 2:   # XOR sums, and single terms, are encodings
-            return exp, lambda sums: list(map(sums.__getitem__, log)), lambda s: s
+            return exp, _unchanged, _unchanged
         if self._lift is None or self._lift[0] < terms:
             if n == 1:   # above TABLE_LIMIT, one walk of alpha's powers
                 exp = exp or list(self.powers(self._alpha_enc, qm1))
-
-                def fold(sums: list[int]) -> list[int]:
-                    out = [0] * (qm1 + 1)
-                    for x, v in zip(exp, sums):
-                        out[x] = v % p
-                    return out
-                self._lift = math.inf, exp, fold, p.__rmod__
+                self._lift = math.inf, exp, lambda sums: [s % p for s in sums], p.__rmod__
             else:
                 w = (terms * (p - 1)).bit_length()
                 spread = [0]
@@ -658,16 +657,15 @@ class Field:
                 m, gw2, gw3 = (1 << gw) - 1, 2 * gw, 3 * gw
                 r0, r1, r2, r3 = (reds + [[0]] * 3)[:4]
 
-                def fold(sums: list[int]) -> list[int]:   # one lookup per group of lanes
-                    ordered = map(sums.__getitem__, log)
+                def reduce_sums(sums: list[int]) -> list[int]:   # one lookup per group of lanes
                     if len(reds) <= 2:
-                        return [r0[s & m] + r1[s >> gw] for s in ordered]
+                        return [r0[s & m] + r1[s >> gw] for s in sums]
                     if len(reds) == 3:
-                        return [r0[s & m] + r1[s >> gw & m] + r2[s >> gw2] for s in ordered]
+                        return [r0[s & m] + r1[s >> gw & m] + r2[s >> gw2] for s in sums]
                     if len(reds) == 4:
                         return [r0[s & m] + r1[s >> gw & m] + r2[s >> gw2 & m] + r3[s >> gw3]
-                                for s in ordered]
-                    return [sum(r[s >> gw * j & m] for j, r in enumerate(reds)) for s in ordered]
+                                for s in sums]
+                    return [sum(r[s >> gw * j & m] for j, r in enumerate(reds)) for s in sums]
 
                 def reduce(s: int) -> int:   # groups past the last look up 0 in [0]
                     if len(reds) <= 4:
@@ -676,7 +674,7 @@ class Field:
                 lift = map(spread.__getitem__, exp)
                 # above 2^14 entries, 64-bit lanes in an array take a quarter of a list
                 lift = array("Q", lift) if qm1 >> 14 and n * w <= 64 else list(lift)
-                self._lift = ((1 << w) - 1) // (p - 1), lift, fold, reduce
+                self._lift = ((1 << w) - 1) // (p - 1), lift, reduce_sums, reduce
         return self._lift[1:]
 
     def subgroup_logs(self, d: int, terms: Sequence[tuple[int, int]]):
@@ -707,6 +705,12 @@ class Field:
         return logs
 
     # -- multiplicative structure --------------------------------------------
+
+    @property
+    def log_table(self) -> list[int] | None:
+        """log_table[x] = k with alpha^k = x for x != 0, and -1 at 0; None
+        above TABLE_LIMIT."""
+        return self._log
 
     def discrete_log(self, x: Element) -> int:
         """k in [0, q-1) with alpha^k = x.

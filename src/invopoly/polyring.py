@@ -66,6 +66,14 @@ class SparsePoly:
         return cls(field, acc)
 
     @classmethod
+    def _wrap(cls, field: Field, terms: dict[int, Element]) -> SparsePoly:
+        """Wrap terms that already have distinct nonnegative int exponents
+        and nonzero coefficients, as __init__ would leave them."""
+        poly = cls.__new__(cls)
+        poly.field, poly.terms = field, terms
+        return poly
+
+    @classmethod
     def zero(cls, field: Field) -> SparsePoly:
         return cls(field, {})
 
@@ -92,35 +100,67 @@ class SparsePoly:
         return SparsePoly.from_pairs(
             self.field, ((reduce_exponent(e, q), c) for e, c in self.terms.items()))
 
+    def log_values(self):
+        """The evaluator ks -> encodings of f(alpha^k) for each k of ks, for
+        consecutive logs as a range or any logs as a list, or None where
+        the field has no lifted table (Field.lifted).  c * x^e is
+        lift[log c + k*e] (mod q - 1), each term one pass of integer +
+        (XOR in characteristic 2) over ks, each sum reduced once; the logs
+        of the coefficients are taken once, here."""
+        f, terms = self.field, self.terms
+        if not terms:
+            return lambda ks: [0] * len(ks)
+        lifted = f.lifted(len(terms))
+        if lifted is None:
+            return None
+        lift, reduce_sums, _ = lifted
+        qm1, xor = f.q - 1, f.p == 2
+        steps = [(f.discrete_log(c), e) for e, c in terms.items()]
+
+        def values(ks) -> list[int]:
+            consecutive, sums = isinstance(ks, range), None
+            for lc, e in steps:
+                if not e:
+                    idx = [lc] * len(ks)
+                elif consecutive:
+                    idx = range(lc + e * ks.start, lc + e * ks.stop, e)
+                else:
+                    idx = [lc + e * k for k in ks]
+                if sums is None:
+                    sums = [lift[k % qm1] for k in idx]
+                elif xor:
+                    sums = [s ^ lift[k % qm1] for s, k in zip(sums, idx)]
+                else:
+                    sums = [s + lift[k % qm1] for s, k in zip(sums, idx)]
+            return reduce_sums(sums)
+        return values
+
     def value_table(self) -> list[int]:
         """Encodings of f(x) for every x, indexed by the encoding of x.
 
-        Summed in log order, x = alpha^k: c * x^e is lift[log c + k*e] (mod
-        q - 1) of Field.lifted, each term one pass of integer + (XOR in
-        characteristic 2), each sum reduced once at the end.  Without a
+        The evaluator of log_values, which oracle.sweep runs in chunks,
+        over all of k = 0, ..., q - 2 at once (x = alpha^k), put in
+        encoding order through the field's log table; prime fields above
+        TABLE_LIMIT have none and scatter along alpha's powers.  Without a
         lifted table, Field.add sums each term's Field.term_values."""
         f, terms = self.field, self.terms
-        q, qm1 = f.q, f.q - 1
+        q = f.q
         if q > DEFAULT_CAP:
             raise FieldTooLarge(f"value table over q = {q} exceeds {DEFAULT_CAP}")
         if not terms:
             return [0] * q
-        lifted = f.lifted(len(terms))
-        if lifted is None:
+        values = self.log_values()
+        if values is None:
             return reduce(lambda a, b: list(map(f.add, a, b)),
                           (f.term_values(c.enc, e) for e, c in terms.items()))
-        lift, fold, _ = lifted
-        sums = None
-        for e, c in terms.items():
-            lc = f.discrete_log(c)
-            ks = range(lc, lc + e * qm1, e) if e else [lc] * qm1
-            if sums is None:
-                sums = [lift[k % qm1] for k in ks]
-            elif f.p == 2:
-                sums = [s ^ lift[k % qm1] for s, k in zip(sums, ks)]
-            else:
-                sums = [s + lift[k % qm1] for s, k in zip(sums, ks)]
-        out = fold(sums)
+        vals = values(range(q - 1))
+        log = f.log_table
+        if log is None:   # a prime field: its lift is alpha's powers
+            out = [0] * q
+            for x, v in zip(f.lifted(len(terms))[0], vals):
+                out[x] = v
+        else:
+            out = list(map(vals.__getitem__, log))
         out[0] = terms[0].enc if 0 in terms else 0
         return out
 
@@ -177,9 +217,10 @@ class RhsForm:
             raise ValueError("h lives in a different field")
         object.__setattr__(self, "r", reduce_exponent(self.r, q))
         d = (q - 1) // self.s
-        folded = SparsePoly.from_pairs(
-            self.field, ((e % d, c) for e, c in self.h.terms.items()))
-        object.__setattr__(self, "h", folded)
+        if any(e >= d for e in self.h.terms):
+            folded = SparsePoly.from_pairs(
+                self.field, ((e % d, c) for e, c in self.h.terms.items()))
+            object.__setattr__(self, "h", folded)
 
     @property
     def d(self) -> int:
@@ -190,17 +231,18 @@ class RhsForm:
         """What the criterion has learnt about this form, shared by every
         subgroup-level check of it: under "h", each point of mu_d walked so
         far (with log tables, the decoded pair (l(i), n_i) of omega^i by
-        i; without, h(z) by the encoding of z); under "report", the
-        involution report once decided."""
-        return {"h": {}, "report": None}
+        i; without, h(z) by the encoding of z); under "walk", the walk
+        over mu_d once built; under "report", the involution report once
+        decided."""
+        return {"h": {}, "walk": None, "report": None}
 
     def expand(self) -> SparsePoly:
         """The plain polynomial x^r * h(x^s) with exponents folded into
-        [1, q-1].  Distinct h exponents mod d stay distinct here."""
-        q = self.field.q
-        return SparsePoly.from_pairs(
-            self.field,
-            ((reduce_exponent(self.r + self.s * e, q), c) for e, c in self.h.terms.items()))
+        [1, q-1].  Distinct h exponents mod d stay distinct here: r + s*e
+        for 0 <= e < d spans less than q - 1, so the terms need no merging."""
+        qm1, r, s = self.field.q - 1, self.r, self.s
+        return SparsePoly._wrap(
+            self.field, {(r + s * e - 1) % qm1 + 1: c for e, c in self.h.terms.items()})
 
     def __str__(self) -> str:
         return f"x^{self.r} * h(x^{self.s}) with h = {self.h}"

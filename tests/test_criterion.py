@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invopoly import criterion
 from invopoly.construct import (
     construct_general,
     fixed_point_choices,
@@ -15,6 +18,7 @@ from invopoly.construct import (
     partner_offset,
 )
 from invopoly.criterion import (
+    PermutationCheck,
     SubgroupInvolution,
     check_involution,
     check_permutation,
@@ -30,7 +34,7 @@ from invopoly.errors import (
     PreconditionViolated,
     RSquareCondition,
 )
-from invopoly.gf import Element, make_field
+from invopoly.gf import Element, Field, make_field
 from invopoly.oracle import sweep
 from invopoly.polyring import (
     DEFAULT_CAP,
@@ -320,3 +324,49 @@ def test_criterion_refuses_subgroups_above_the_cap():
     for check in (check_involution, check_permutation, induced_subgroup_involution):
         with pytest.raises(FieldTooLarge):
             check(rhs)
+
+
+def test_one_transform_per_form_for_both_checks(table_free, monkeypatch):
+    # the walk over mu_d, with the transform Field.subgroup_logs sets up for
+    # it, is kept on the form: both checks of a form build it once, and a
+    # true involution report answers check_permutation without a walk
+    built, walks = [], []
+    subgroup_logs, walk = Field.subgroup_logs, criterion._walk
+    monkeypatch.setattr(Field, "subgroup_logs",
+                        lambda self, d, terms: built.append(d) or subgroup_logs(self, d, terms))
+    monkeypatch.setattr(criterion, "_walk", lambda rhs: walks.append(rhs) or walk(rhs))
+    rng = random.Random(43)
+    involutions = 0
+    for field in SMALL_FIELDS + table_free:
+        for _ in range(12):
+            drawn = _random_rhs(field, rng)
+            rhs = RhsForm(field, 1, drawn.s, drawn.h)   # r = 1 passes the r-condition
+            built.clear()
+            inv = check_involution(rhs)
+            walked = len(walks)
+            perm = check_permutation(rhs)
+            assert len(built) == 1
+            assert perm.ok == sweep(rhs.expand()).is_permutation
+            if inv.verdict:
+                involutions += 1
+                assert perm == PermutationCheck(True, True) and len(walks) == walked
+    assert involutions
+
+
+def test_a_decided_form_is_freed_without_the_cycle_collector(table_free):
+    # the walk kept on a form sees its shape, not the form, so the form, its
+    # memo and its walk go with the last reference to the form, not at the
+    # next cycle collection
+    rng = random.Random(47)
+    gc.disable()
+    try:
+        for field in (SMALL_FIELDS[-1], table_free[0]):
+            rhs = _random_rhs(field, rng)
+            check_involution(rhs)
+            check_permutation(rhs)
+            subgroup_data(rhs)
+            gone = weakref.ref(rhs)
+            del rhs
+            assert gone() is None
+    finally:
+        gc.enable()

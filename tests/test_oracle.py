@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import random
 import time
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from invopoly import oracle
 from invopoly.errors import FieldTooLarge, NotAPermutation
 from invopoly.gf import make_field
 from invopoly.oracle import compositional_inverse, sweep
@@ -107,3 +111,102 @@ def test_value_table_above_table_limit_matches_evaluate():
     rng = random.Random(57)
     for enc in [0, 1] + [rng.randrange(field.q) for _ in range(300)]:
         assert table[enc] == f.evaluate(field.element(enc)).enc
+
+
+def _reference_report(f):
+    """sweep's report fields from evaluate at every point and the two loops
+    of a full-table check: the first repeat in encoding order, paired with
+    the first x of its value; then the first x with f(f(x)) != x."""
+    table = [f.evaluate(x).enc for x in f.field.elements()]
+    first = {}
+    for x, y in enumerate(table):
+        if y in first:
+            return False, None, None, (first[y], x)
+        first[y] = x
+    for x, y in enumerate(table):
+        if table[y] != x:
+            return True, False, None, (x, table[y])
+    return True, True, sum(x == y for x, y in enumerate(table)), None
+
+
+def _fields(report):
+    witness = report.witness and tuple(w.enc for w in report.witness)
+    return report.is_permutation, report.is_involution, report.fixed_point_count, witness
+
+
+@st.composite
+def _sweep_polys(draw, field, max_terms):
+    """Sparse polynomials of 1 to max_terms terms with constant terms and
+    exponents >= q among them; c*x^e + b, a permutation exactly when
+    gcd(e, q - 1) = 1, whose first repeat in log order otherwise comes
+    late; the same with 0 moved onto the value of some y != 0, so that
+    (0, y) is its one collision; and the involutions a*x^r with r^2 = 1
+    and a^(r+1) = 1, and -x + b."""
+    q, qm1 = field.q, field.q - 1
+    kind = draw(st.sampled_from(["sparse", "power", "moved zero", "involution"]))
+    lift = draw(st.integers(0, 2)) * qm1   # the same map from exponents >= q
+    b = field.element(draw(st.integers(0, q - 1)))
+    c = field.element(draw(st.integers(1, q - 1)))
+    if kind == "power":
+        e = draw(st.integers(1, qm1))
+        return SparsePoly.from_pairs(field, [(e + lift, c), (0, b)])
+    if kind == "moved zero":   # c*x^e + a*(1 - x^(q-1)) with a = c*y^e
+        e = draw(st.sampled_from([e for e in range(1, q) if gcd(e, qm1) == 1]))
+        a = c * field.element(draw(st.integers(1, qm1))) ** e
+        return SparsePoly.from_pairs(field, [(e + lift, c), (0, a), (qm1, -a)])
+    if kind == "involution":
+        r = draw(st.sampled_from([r for r in range(1, q) if (r * r - 1) % qm1 == 0]))
+        if r == 1 and q > 2 and draw(st.booleans()):
+            return SparsePoly.from_pairs(field, [(1 + lift, -field.one()), (0, b)])
+        a = field.pow_alpha(qm1 // gcd(r + 1, qm1) * draw(st.integers(0, qm1)))
+        return SparsePoly.from_pairs(field, [(r + lift, a)])
+    exps = st.one_of(st.integers(0, q - 1), st.integers(q, 3 * q), st.just(0))
+    t = draw(st.integers(1, max_terms))
+    pairs = draw(st.lists(st.tuples(exps, st.integers(1, q - 1)), min_size=t, max_size=t))
+    return SparsePoly.from_pairs(field, [(e, field.element(c)) for e, c in pairs])
+
+
+# table-backed fields of every kernel, swept whole (q <= 128) or in chunks
+WHOLE_SWEEP_FIELDS = [make_field(p, n) for p, n in
+                      [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (2, 4), (5, 2), (3, 3), (2, 6),
+                       (3, 4), (11, 2), (2, 7), (5, 3)]]
+CHUNKED_SWEEP_FIELDS = [make_field(p, n) for p, n in [(13, 2), (3, 5), (251, 1), (2, 8)]]
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_sweep_report_matches_the_pointwise_reference(table_free, data):
+    field = data.draw(st.one_of(st.sampled_from(CHUNKED_SWEEP_FIELDS),
+                                st.sampled_from(WHOLE_SWEEP_FIELDS + table_free)))
+    f = data.draw(_sweep_polys(field, field.q + 5))
+    assert _fields(sweep(f)) == _reference_report(f)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_sweep_report_matches_the_pointwise_reference_on_larger_fields(data):
+    field = data.draw(st.sampled_from([make_field(2, 12), make_field(3, 8)]))
+    f = data.draw(_sweep_polys(field, 5))
+    assert _fields(sweep(f)) == _reference_report(f)
+
+
+def test_a_non_permutation_sweep_stops_early(monkeypatch):
+    # over 2^16 a non-permutation is decided, witness and all, from far
+    # fewer than q points; the points counted are those the evaluator of
+    # log_values is given, in the log-order chunks and the encoding-order
+    # scan for the witness
+    field = make_field(2, 16)
+    f = parse_poly(field, "a^3*x^77 + x^5 + a*x")
+    points = []
+    log_values = SparsePoly.log_values
+
+    def counting(self):
+        values = log_values(self)
+        return lambda ks: points.append(len(ks)) or values(ks)
+
+    monkeypatch.setattr(SparsePoly, "log_values", counting)
+    report = sweep(f)
+    assert not report.is_permutation
+    assert sum(points) < field.q // 16
+    full = oracle._check_table(field, f.value_table())
+    assert _fields(report) == _fields(full)

@@ -157,6 +157,30 @@ def test_value_table_equals_evaluate_on_the_largest_table_backed_fields(data):
         assert table[x] == f.evaluate(field.element(x)).enc
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_forms_and_expansions_equal_the_from_pairs_route(table_free, data):
+    # RhsForm keeps an h whose exponents are all below d as it is, and
+    # expand() writes its distinct exponents straight into the term dict;
+    # both must give what folding and merging through from_pairs gives
+    field = data.draw(st.sampled_from(IDENTITY_FIELDS + table_free))
+    q = field.q
+    s = data.draw(st.sampled_from([t for t in range(1, q) if (q - 1) % t == 0]))
+    d = (q - 1) // s
+    r = data.draw(st.integers(1, 3 * q))
+    top = data.draw(st.sampled_from([d - 1, 3 * d]))   # below d, or folding
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, q - 1)),
+                               max_size=d + 2))
+    h = SparsePoly.from_pairs(field, [(e, field.element(c)) for e, c in pairs])
+    rhs = RhsForm(field, r, s, h)
+    folded = SparsePoly.from_pairs(field, ((e % d, c) for e, c in h.terms.items()))
+    assert rhs.h == folded and rhs.r == reduce_exponent(r, q)
+    expanded = rhs.expand()
+    assert expanded == SparsePoly.from_pairs(
+        field, ((reduce_exponent(rhs.r + s * e, q), c) for e, c in folded.terms.items()))
+    assert all(type(e) is int and not c.is_zero for e, c in expanded.terms.items())
+
+
 def test_sparse_poly_merges_duplicate_exponents(f7):
     f = SparsePoly.from_pairs(f7, [(3, f7.element(4)), (3, f7.element(5))])
     assert f.coefficient(3).enc == 2
