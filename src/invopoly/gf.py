@@ -35,7 +35,8 @@ behind both interpolation on mu_d and the criterion's walk.  Discrete
 logs (the k printed in 'a^k') go by Pohlig-Hellman over the prime
 factors of q - 1, found once per field, with one baby-step giant-step
 table of about sqrt(l) entries per prime l, built on first use and kept
-on the field.
+on the field; for l above about 1000 a _times table of the giant step
+is kept beside it.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import math
 import operator
 import re
 from array import array
+from functools import partial
 from itertools import accumulate, repeat
 from typing import Iterator, Sequence
 
@@ -60,6 +62,7 @@ from .errors import (
 ENCODING_LIMIT = 1 << 31   # fields with q above this are rejected outright
 TABLE_LIMIT = 1 << 16      # fields up to this q get exp/log tables
 _LOOKUP_BITS = 12          # _linear_map keeps its lookup tables near 2^12 entries
+_GIANT_TABLE_M = 32        # discrete_log multiplies by a giant step of m >= 32 through _times
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -494,7 +497,7 @@ class Field:
         self.add, self.mul, self._pow = _kernel(p, n, modulus)
         self._exp = self._log = self._lift = None
         self._factors = factorize(self.q - 1)
-        self._dlog_tables: dict[int, tuple[dict[int, int], int, int, int]] = {}
+        self._dlog_tables: dict[int, tuple] = {}
         self._alpha_enc = _find_primitive(self)
         if self.q <= TABLE_LIMIT:
             self._use_tables()
@@ -734,7 +737,7 @@ class Field:
             cofactor = qm1 // order
             # y = g^(k mod order) for g = alpha^cofactor, of order prime^mult
             y = self.pow(x.enc, cofactor)
-            baby, giant, m, g_inv = self._dlog_table(prime, cofactor)
+            baby, times_giant, m, g_inv = self._dlog_table(prime, cofactor)
             residue, place = 0, 1
             for j in range(mult - 1, -1, -1):
                 # z = gamma^digit, gamma = g^(prime^(mult-1)) of order prime
@@ -743,7 +746,7 @@ class Field:
                     b = baby.get(z)
                     if b is not None:
                         break
-                    z = self.mul(z, giant)
+                    z = times_giant(z)
                 else:  # pragma: no cover
                     raise AssertionError("unreachable: z lies in the subgroup of order prime")
                 digit = i * m + b
@@ -754,19 +757,25 @@ class Field:
             k += residue * cofactor * pow(cofactor, -1, order)
         return k % qm1
 
-    def _dlog_table(self, prime: int, cofactor: int) -> tuple[dict[int, int], int, int, int]:
+    def _dlog_table(self, prime: int, cofactor: int):
         """Search data for a prime factor of q - 1, built on first use and
         kept on the field: the baby steps gamma^j -> j for j < m =
         ceil(sqrt(prime)), where gamma = alpha^((q-1)/prime) has order
-        prime; the giant step gamma^-m; m; and alpha^-cofactor, which strips
-        the digits found in the subgroup of order prime^mult."""
+        prime; the multiply by the giant step gamma^-m, which is a
+        chunk-table lookup (_times) from m = _GIANT_TABLE_M on, where a
+        few searches of up to m steps each pay for the table; m; and
+        alpha^-cofactor, which strips the digits found in the subgroup of
+        order prime^mult."""
         table = self._dlog_tables.get(prime)
         if table is None:
             gamma = self.pow(self._alpha_enc, (self.q - 1) // prime)
             m = math.isqrt(prime - 1) + 1
             *steps, last = self.powers(gamma, m + 1)
             baby = {z: j for j, z in enumerate(steps)}
-            table = (baby, self.pow(last, -1), m, self.pow(self._alpha_enc, -cofactor))
+            giant = self.pow(last, -1)
+            times_giant = (_times(self.p, self.n, self.mul, giant) if m >= _GIANT_TABLE_M
+                           else partial(self.mul, giant))
+            table = (baby, times_giant, m, self.pow(self._alpha_enc, -cofactor))
             self._dlog_tables[prime] = table
         return table
 

@@ -1,22 +1,24 @@
 """Exhaustive ground truth for permutation and involution claims.
 
 Everything here evaluates f point by point over F_q and never consults
-the subgroup-level machinery, so it can referee it.  sweep stops at the
-first repeated value on fields with log tables and more than 128
-elements; a permutation, and every other sweep, is checked as a full
-value table.
+the subgroup-level machinery, so it can referee it.  On fields with log
+tables and more than 13 elements, sweep evaluates in encoding order and
+stops at the first value that repeats, which is the witness itself; a
+permutation, and every other sweep, is checked as a full value table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import NotAPermutation
 from .gf import Element, Field
 from .polyring import SparsePoly, bound_full_interpolation, interpolate_table
 
-_FIRST_CHUNK = 32     # points in a sweep's first chunk; each later chunk doubles the points done
-_FULL_TABLE_Q = 128   # fields up to this size are swept as one full table
+_FIRST_CHUNK = 8      # points in a sweep's first chunk; each later chunk doubles the points done
+_PREFIX_ROOTS = 4     # a sweep's encoding-order prefix: 4*sqrt(q) points, at most q/2
+_FULL_TABLE_Q = 13    # fields up to this size are swept as one full table, which is faster there
 
 
 @dataclass(frozen=True)
@@ -37,30 +39,37 @@ class PermReport:
     witness: tuple[Element, Element] | None = None
 
 
-def _check_table(field: Field, table: list[int]) -> PermReport:
-    first_preimage = [-1] * field.q
-    for x, y in enumerate(table):
-        if first_preimage[y] >= 0:
-            return PermReport(field, False,
-                             witness=(field.element(first_preimage[y]), field.element(x)))
-        first_preimage[y] = x
-    return _check_involution(field, table)
+def _collision(field: Field, by_enc: list[int], x: int) -> PermReport:
+    """The report of a non-permutation whose first repeat in encoding
+    order is at x: by_enc holds f at 0, 1, ... up to x at least."""
+    return PermReport(field, False, witness=(field.element(by_enc.index(by_enc[x])),
+                                             field.element(x)))
 
 
-def _check_involution(field: Field, table: list[int]) -> PermReport:
-    """The report on a permutation's value table."""
+def _check_table(field: Field, table: list[int], start: int = 0,
+                 seen: bytearray | None = None) -> PermReport:
+    """The report on a full value table.  An involution is a permutation,
+    so one pass checking table[table[x]] = x settles an involution, and
+    most other tables fail it at once; past its first offender the scan
+    for a repeat goes on in encoding order from start, with the values of
+    the first start points marked in seen and known to be distinct."""
     fixed = 0
-    bad = -1
-    for x, y in enumerate(table):
-        if table[y] != x:
-            bad = x
+    for bad, y in enumerate(table):
+        if table[y] != bad:
             break
-        if y == x:
+        if y == bad:
             fixed += 1
-    if bad >= 0:
-        return PermReport(field, True, False,
-                         witness=(field.element(bad), field.element(table[table[bad]])))
-    return PermReport(field, True, True, fixed)
+    else:
+        return PermReport(field, True, True, fixed)
+    if seen is None:
+        seen = bytearray(field.q)
+    for x in range(start, field.q):
+        v = table[x]
+        if seen[v]:
+            return _collision(field, table, x)
+        seen[v] = 1
+    return PermReport(field, True, False,
+                      witness=(field.element(bad), field.element(table[table[bad]])))
 
 
 def _chunks(start: int, stop: int):
@@ -79,59 +88,37 @@ def sweep(f: SparsePoly) -> PermReport:
     involution status.
 
     On fields with log tables (q up to TABLE_LIMIT) above _FULL_TABLE_Q
-    the values come in log order, x = alpha^k, from SparsePoly.log_values
-    over ranges of k: _FIRST_CHUNK points, then chunks that double the
-    points done.  Each value is marked (in a bytearray, and from q/8
-    points on in a list, which the interpreter indexes faster), and the
-    sweep stops at the first value that repeats.  A random map repeats
-    after about sqrt(pi*q/2) points, so most non-permutations stop long
-    before q; _first_collision then finds the witness.  A permutation's
-    chunks fold into its value table, which is checked for an involution
-    and counted for fixed points.  Smaller fields and fields above
-    TABLE_LIMIT are checked as one full value table, which
-    polyring.DEFAULT_CAP bounds (FieldTooLarge)."""
+    the sweep starts with a prefix in encoding order, x = 0, 1, ...: each
+    chunk (_FIRST_CHUNK points, then chunks that double the points done)
+    is one call of the SparsePoly.log_values evaluator on the logs of its
+    points.  Each value is marked in a bytearray, and the sweep stops at
+    the first value that repeats: that x and the first x of its value are
+    the witness.  Any map repeats in encoding order after about
+    sqrt(pi*q/2) points if it behaves like a random map (Flajolet and
+    Odlyzko, EUROCRYPT 1989), and a map constant on cosets of a small
+    subgroup sooner, so the prefix runs to _PREFIX_ROOTS*sqrt(q) points,
+    at most q/2.  A map that gets through it is most likely a
+    permutation: its value_table is one log-order call over the whole
+    field, gathered through the log table, and the scan goes on from the
+    end of the prefix with its marks kept (_check_table).
+    Smaller fields and fields above TABLE_LIMIT are checked as one full
+    value table, which polyring.DEFAULT_CAP bounds (FieldTooLarge)."""
     field = f.field
     q, log = field.q, field.log_table
     if log is None or q <= _FULL_TABLE_Q:
         return _check_table(field, f.value_table())
-    at_zero = f.coefficient(0).enc
+    values = f.log_values()
+    by_enc = [f.coefficient(0).enc]
     seen = bytearray(q)
-    seen[at_zero] = 1
-    values, vals = f.log_values(), []
-    for ks in _chunks(0, q - 1):
-        if ks.start >= q >> 3 and isinstance(seen, bytearray):
-            seen = list(seen)
-        chunk = values(ks)
-        vals += chunk
-        for v in chunk:
+    seen[by_enc[0]] = 1
+    for xs in _chunks(1, min(_PREFIX_ROOTS * isqrt(q), q >> 1)):
+        chunk = values(log[xs.start:xs.stop])
+        by_enc += chunk
+        for x, v in zip(xs, chunk):
             if seen[v]:
-                return _first_collision(field, values, vals, at_zero)
+                return _collision(field, by_enc, x)
             seen[v] = 1
-    table = list(map(vals.__getitem__, log))
-    table[0] = at_zero
-    return _check_involution(field, table)
-
-
-def _first_collision(field: Field, values, vals: list[int], at_zero: int) -> PermReport:
-    """The report of a non-permutation with the witness _check_table gives:
-    the first repeat in encoding order, x = 0, 1, ..., paired with the
-    first x of its value.  vals holds f(alpha^k) for k < len(vals) from
-    the log-order sweep; the other points are evaluated in chunks of x,
-    one log_values call over their logs per chunk."""
-    log, done = field.log_table, len(vals)
-    by_enc, seen = [at_zero], bytearray(field.q)
-    seen[at_zero] = 1
-    for xs in _chunks(1, field.q):
-        logs = log[xs.start:xs.stop]
-        fresh = iter(values([k for k in logs if k >= done]))
-        by_enc += [vals[k] if k < done else next(fresh) for k in logs]
-        for x in xs:
-            v = by_enc[x]
-            if seen[v]:
-                return PermReport(field, False,
-                                  witness=(field.element(by_enc.index(v)), field.element(x)))
-            seen[v] = 1
-    raise AssertionError("unreachable: the log-order sweep found a repeat")  # pragma: no cover
+    return _check_table(field, f.value_table(), len(by_enc), seen)
 
 
 def compositional_inverse(f: SparsePoly) -> SparsePoly:

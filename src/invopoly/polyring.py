@@ -106,7 +106,9 @@ class SparsePoly:
         the field has no lifted table (Field.lifted).  c * x^e is
         lift[log c + k*e] (mod q - 1), each term one pass of integer +
         (XOR in characteristic 2) over ks, each sum reduced once; the logs
-        of the coefficients are taken once, here."""
+        of the coefficients are taken once, here.  Over a range the looked
+        up logs are a range too; over a list (oracle.sweep's prefix, the
+        logs of x = 1, 2, ...) each term's pass computes them in place."""
         f, terms = self.field, self.terms
         if not terms:
             return lambda ks: [0] * len(ks)
@@ -120,29 +122,32 @@ class SparsePoly:
         def values(ks) -> list[int]:
             consecutive, sums = isinstance(ks, range), None
             for lc, e in steps:
-                if not e:
-                    idx = [lc] * len(ks)
-                elif consecutive:
-                    idx = range(lc + e * ks.start, lc + e * ks.stop, e)
-                else:
-                    idx = [lc + e * k for k in ks]
-                if sums is None:
-                    sums = [lift[k % qm1] for k in idx]
+                if consecutive:
+                    idx = range(lc + e * ks.start, lc + e * ks.stop, e) if e else [lc] * len(ks)
+                    if sums is None:
+                        sums = [lift[k % qm1] for k in idx]
+                    elif xor:
+                        sums = [s ^ lift[k % qm1] for s, k in zip(sums, idx)]
+                    else:
+                        sums = [s + lift[k % qm1] for s, k in zip(sums, idx)]
+                elif sums is None:   # any logs: those looked up are computed in place
+                    sums = [lift[(lc + e * k) % qm1] for k in ks]
                 elif xor:
-                    sums = [s ^ lift[k % qm1] for s, k in zip(sums, idx)]
+                    sums = [s ^ lift[(lc + e * k) % qm1] for s, k in zip(sums, ks)]
                 else:
-                    sums = [s + lift[k % qm1] for s, k in zip(sums, idx)]
+                    sums = [s + lift[(lc + e * k) % qm1] for s, k in zip(sums, ks)]
             return reduce_sums(sums)
         return values
 
     def value_table(self) -> list[int]:
         """Encodings of f(x) for every x, indexed by the encoding of x.
 
-        The evaluator of log_values, which oracle.sweep runs in chunks,
-        over all of k = 0, ..., q - 2 at once (x = alpha^k), put in
-        encoding order through the field's log table; prime fields above
-        TABLE_LIMIT have none and scatter along alpha's powers.  Without a
-        lifted table, Field.add sums each term's Field.term_values."""
+        The evaluator of log_values over all of k = 0, ..., q - 2 at once
+        (x = alpha^k), put in encoding order through the field's log
+        table; oracle.sweep takes this table for a map that gets through
+        its encoding-order prefix.  Prime fields above TABLE_LIMIT have no
+        log table and scatter along alpha's powers.  Without a lifted
+        table, Field.add sums each term's Field.term_values."""
         f, terms = self.field, self.terms
         q = f.q
         if q > DEFAULT_CAP:

@@ -169,6 +169,24 @@ def test_discrete_log_pohlig_hellman_above_table_limit(p, n):
     assert all(field._dlog_tables[prime] is table for prime, table in tables.items())
 
 
+@pytest.mark.parametrize("p, n", [(2, 17), (5, 7), (3, 11)])
+def test_discrete_log_through_a_giant_step_table(p, n):
+    # one prime l of q - 1 is large (131071, 19531 and 3851), and its
+    # searches multiply by the giant step through a chunk table
+    field = make_field(p, n)
+    rng = random.Random(p * 100 + n)
+    for _ in range(200):
+        x = field.element(rng.randrange(1, field.q))
+        assert field.alpha ** field.discrete_log(x) == x
+    prime = factorize(field.q - 1)[-1][0]
+    _, times_giant, m, _ = field._dlog_tables[prime]
+    assert m >= gf._GIANT_TABLE_M
+    gamma = field.pow(field.alpha.enc, (field.q - 1) // prime)
+    giant = field.pow(gamma, -m)
+    for z in [1, gamma] + [rng.randrange(1, field.q) for _ in range(20)]:
+        assert times_giant(z) == field.mul(z, giant)
+
+
 def test_table_free_arithmetic_matches_tables(table_free):
     for slow in table_free:
         fast = make_field(slow.p, slow.n)

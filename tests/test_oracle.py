@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import random
 import time
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invopoly import oracle
@@ -138,10 +138,10 @@ def _fields(report):
 def _sweep_polys(draw, field, max_terms):
     """Sparse polynomials of 1 to max_terms terms with constant terms and
     exponents >= q among them; c*x^e + b, a permutation exactly when
-    gcd(e, q - 1) = 1, whose first repeat in log order otherwise comes
-    late; the same with 0 moved onto the value of some y != 0, so that
-    (0, y) is its one collision; and the involutions a*x^r with r^2 = 1
-    and a^(r+1) = 1, and -x + b."""
+    gcd(e, q - 1) = 1 and constant on the cosets of mu_g otherwise; the
+    same with 0 moved onto the value of some y != 0, so that (0, y) is its
+    one collision; and the involutions a*x^r with r^2 = 1 and
+    a^(r+1) = 1, and -x + b."""
     q, qm1 = field.q, field.q - 1
     kind = draw(st.sampled_from(["sparse", "power", "moved zero", "involution"]))
     lift = draw(st.integers(0, 2)) * qm1   # the same map from exponents >= q
@@ -166,11 +166,11 @@ def _sweep_polys(draw, field, max_terms):
     return SparsePoly.from_pairs(field, [(e, field.element(c)) for e, c in pairs])
 
 
-# table-backed fields of every kernel, swept whole (q <= 128) or in chunks
-WHOLE_SWEEP_FIELDS = [make_field(p, n) for p, n in
-                      [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (2, 4), (5, 2), (3, 3), (2, 6),
-                       (3, 4), (11, 2), (2, 7), (5, 3)]]
-CHUNKED_SWEEP_FIELDS = [make_field(p, n) for p, n in [(13, 2), (3, 5), (251, 1), (2, 8)]]
+# table-backed fields of every kernel, swept whole (q <= 13) or in chunks
+WHOLE_SWEEP_FIELDS = [make_field(p, n) for p, n in [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2)]]
+CHUNKED_SWEEP_FIELDS = [make_field(p, n) for p, n in
+                        [(2, 4), (5, 2), (3, 3), (2, 6), (3, 4), (11, 2), (2, 7), (5, 3),
+                         (13, 2), (3, 5), (251, 1), (2, 8)]]
 
 
 @settings(max_examples=250, derandomize=True, deadline=None)
@@ -190,13 +190,9 @@ def test_sweep_report_matches_the_pointwise_reference_on_larger_fields(data):
     assert _fields(sweep(f)) == _reference_report(f)
 
 
-def test_a_non_permutation_sweep_stops_early(monkeypatch):
-    # over 2^16 a non-permutation is decided, witness and all, from far
-    # fewer than q points; the points counted are those the evaluator of
-    # log_values is given, in the log-order chunks and the encoding-order
-    # scan for the witness
-    field = make_field(2, 16)
-    f = parse_poly(field, "a^3*x^77 + x^5 + a*x")
+def _counted_points(monkeypatch) -> list[int]:
+    """The sizes of the point lists the evaluator of log_values is given,
+    appended as sweeps run."""
     points = []
     log_values = SparsePoly.log_values
 
@@ -205,8 +201,88 @@ def test_a_non_permutation_sweep_stops_early(monkeypatch):
         return lambda ks: points.append(len(ks)) or values(ks)
 
     monkeypatch.setattr(SparsePoly, "log_values", counting)
+    return points
+
+
+def test_a_non_permutation_sweep_stops_early(monkeypatch):
+    # over 2^16 a non-permutation is decided, witness and all, from far
+    # fewer than q points; the points counted are those the evaluator of
+    # log_values is given, in the encoding-order chunks of the prefix,
+    # whose first repeat is the witness
+    field = make_field(2, 16)
+    f = parse_poly(field, "a^3*x^77 + x^5 + a*x")
+    points = _counted_points(monkeypatch)
     report = sweep(f)
     assert not report.is_permutation
     assert sum(points) < field.q // 16
     full = oracle._check_table(field, f.value_table())
     assert _fields(report) == _fields(full)
+
+
+def test_a_cube_map_of_2_16_stops_within_a_thousand_points(monkeypatch):
+    # x^3 is 3-to-1 on the nonzero elements of 2^16, a symmetry a scan in
+    # log order, x = alpha^k, would first meet at k = (q - 1)/3
+    field = make_field(2, 16)
+    points = _counted_points(monkeypatch)
+    report = sweep(parse_poly(field, "x^3"))
+    assert not report.is_permutation
+    assert sum(points) < 1000
+    a, b = report.witness
+    assert a != b and a**3 == b**3
+
+
+def test_an_involution_sweep_evaluates_the_field_once_past_its_prefix(monkeypatch):
+    # a permutation costs the encoding-order prefix plus one log-order
+    # call over every nonzero point, and no more
+    field = make_field(2, 12)
+    q = field.q
+    f = parse_poly(field, "a^63*x^64")   # a^65 = 1, so f(f(x)) = x^4096 = x
+    points = _counted_points(monkeypatch)
+    report = sweep(f)
+    assert report.is_permutation and report.is_involution
+    assert sum(points) <= q - 1 + oracle._PREFIX_ROOTS * isqrt(q)
+    assert points[-1] == q - 1
+
+
+@st.composite
+def _structured_non_permutations(draw, field):
+    """Non-permutations whose values repeat on structured sets: forms
+    x^r h(x^s) with gcd(r, s) > 1, constant on the cosets of mu_g; forms
+    with gcd(r, s) = 1 whose map z -> z^r h(z)^s on mu_d collides (or
+    hits 0); monomials c*x^e with gcd(e, q - 1) > 1; and permutations
+    c*x^e with 0 moved onto the value of some y != 0."""
+    q, qm1 = field.q, field.q - 1
+    kind = draw(st.sampled_from(["gcd(r, s) > 1", "collides on mu_d", "power", "moved zero"]))
+    c = field.element(draw(st.integers(1, qm1)))
+    if kind == "power":
+        e = draw(st.sampled_from([e for e in range(2, qm1) if gcd(e, qm1) > 1]))
+        return SparsePoly.from_pairs(field, [(e, c)])
+    if kind == "moved zero":   # c*x^e + a*(1 - x^(q-1)) with a = c*y^e
+        e = draw(st.sampled_from([e for e in range(1, q) if gcd(e, qm1) == 1]))
+        a = c * field.element(draw(st.integers(1, qm1))) ** e
+        return SparsePoly.from_pairs(field, [(e, c), (0, a), (qm1, -a)])
+    s = draw(st.sampled_from([s for s in range(2, qm1) if qm1 % s == 0 and qm1 // s <= 64]))
+    d = qm1 // s
+    coprime = kind == "collides on mu_d"
+    r = draw(st.sampled_from([r for r in range(1, qm1) if (gcd(r, s) == 1) == coprime]))
+    h = SparsePoly.from_pairs(field, [(draw(st.integers(0, d - 1)),
+                                       field.element(draw(st.integers(1, qm1))))
+                                      for _ in range(draw(st.integers(1, 3)))])
+    if coprime:
+        _, mu = field.subgroup(d)
+        induced = [z**r * h.evaluate(z)**s for z in mu]
+        assume(len(set(induced)) < d or field.zero() in induced)
+    return SparsePoly.from_pairs(field, [(r + s * e, c) for e, c in h.terms.items()])
+
+
+STRUCTURED_FIELDS = [make_field(2, 8), make_field(3, 5), make_field(2, 12), make_field(3, 8)]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_structured_non_permutations_match_the_pointwise_reference(data):
+    field = data.draw(st.sampled_from(STRUCTURED_FIELDS))
+    f = data.draw(_structured_non_permutations(field))
+    expected = _reference_report(f)
+    assert not expected[0]
+    assert _fields(sweep(f)) == expected
