@@ -28,8 +28,9 @@ kernel mul (about 40 us per power at 2^20 and 150 us at 3^12, against 105
 and 470 us by square-and-multiply).  Value tables sum their terms in log
 order as plain integers (XOR in characteristic 2, spread digits in odd
 extensions) through lifted() and reduce each sum once; above TABLE_LIMIT
-extensions walk alpha through _times instead (1-1.5 us per element at
-3^11, 5^7 and 7^6).  The same lifted sums serve the subgroup transform
+extensions walk alpha's powers once through _times instead and read each
+term off that walk (a monomial 0.4-0.8 us per element at 3^11, 5^7 and
+7^6 on the same host).  The same lifted sums serve the subgroup transform
 (subgroup_logs): a sum of c_j * omega^(t_j * x) on mu_d, one per point,
 behind both interpolation on mu_d and the criterion's walk.  Discrete
 logs (the k printed in 'a^k') go by Pohlig-Hellman over the prime
@@ -616,26 +617,46 @@ class Field:
         e %= self.q - 1   # no pow for a base 1 or an exponent 0 or 1
         return (a if e else 1) if e < 2 or a == 1 else self._pow(a, e)
 
-    def term_values(self, c: int, e: int) -> list[int]:
-        """Encodings of c * x^e for every x, indexed by the encoding of x (x^0
-        is 1 everywhere, x = 0 included), without tables: x runs over alpha's
-        powers and c * x^e with it, each step a chunk-table multiply."""
-        q = self.q
-        if e == 0 or c == 0:
+    def term_values(self, terms: Sequence[tuple[int, int]]) -> list[int]:
+        """Encodings of the sum of c * x^e over the pairs (c, e) of terms
+        (nonzero c, distinct e) for every x, indexed by the encoding of x
+        (x^0 is 1 everywhere, x = 0 included), without tables.  Past a lone
+        constant, x runs over alpha's powers: one term of a prime field
+        walks x and c * x^e with it, each step one multiply mod p;
+        otherwise alpha^i is walked once, through the chunk-table multiply
+        by alpha, and each term reads c * x^e = alpha^(log c + e*i)
+        (mod q - 1) off that walk, one discrete log per coefficient, the
+        terms summed with the kernel add."""
+        q, p, a = self.q, self.p, self._alpha_enc
+        (c, e), *more = terms
+        if e == 0 and not more:
             return [c] * q
-        out = [0] * q
-        times_alpha = _times(self.p, self.n, self.mul, self._alpha_enc)
-        times_step = _times(self.p, self.n, self.mul, self.pow(self._alpha_enc, e))
-        x, v = 1, c
-        for _ in range(q - 1):
-            out[x] = v
-            x = times_alpha(x)
-            v = times_step(v)
+        qm1, out = q - 1, [0] * q
+        if self.n == 1 and not more:
+            x, v, step = 1, c, self.pow(a, e)
+            for _ in range(qm1):
+                out[x] = v
+                x = x * a % p
+                v = v * step % p
+        else:
+            walk, x = [0] * qm1, 1
+            times_alpha = _times(p, self.n, self.mul, a)
+            for i in range(qm1):
+                walk[i] = x
+                x = times_alpha(x)
+            sums = None
+            for c, e in terms:
+                lc = self.discrete_log(Element(self, c))
+                vals = [walk[k % qm1] for k in range(lc, lc + e * qm1, e)] if e else [c] * qm1
+                sums = vals if sums is None else list(map(self.add, sums, vals))
+            for x, v in zip(walk, sums):
+                out[x] = v
+        out[0] = next((c for c, e in terms if e == 0), 0)
         return out
 
     def lifted(self, terms: int):
         """(lift, reduce_sums, reduce) to sum `terms` terms in log order, or
-        None where term_values walks each term (extensions above
+        None where term_values walks alpha's powers (extensions above
         TABLE_LIMIT, and single terms there).  lift[k] is alpha^k as an
         integer that adds by + (XOR in characteristic 2) with no carry: its
         encoding, or in odd extensions its digits w = bitlen(terms*(p-1))

@@ -2,9 +2,12 @@
 
 Everything here evaluates f point by point over F_q and never consults
 the subgroup-level machinery, so it can referee it.  On fields with log
-tables and more than 13 elements, sweep evaluates in encoding order and
+tables and more than 16 elements, sweep evaluates in encoding order and
 stops at the first value that repeats, which is the witness itself; a
-permutation, and every other sweep, is checked as a full value table.
+map that gets through that prefix is evaluated whole in log order, and a
+permutation that is not an involution is decided from those values
+without a table in encoding order.  Smaller fields and fields without
+log tables are checked as a full value table.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .polyring import SparsePoly, bound_full_interpolation, interpolate_table
 
 _FIRST_CHUNK = 8      # points in a sweep's first chunk; each later chunk doubles the points done
 _PREFIX_ROOTS = 4     # a sweep's encoding-order prefix: 4*sqrt(q) points, at most q/2
-_FULL_TABLE_Q = 13    # fields up to this size are swept as one full table, which is faster there
+_FULL_TABLE_Q = 16    # fields up to this size are swept as one full table, which is faster there
 
 
 @dataclass(frozen=True)
@@ -46,30 +49,63 @@ def _collision(field: Field, by_enc: list[int], x: int) -> PermReport:
                                              field.element(x)))
 
 
-def _check_table(field: Field, table: list[int], start: int = 0,
+def _check_table(field: Field, head: list[int], vals: list[int] | None = None,
                  seen: bytearray | None = None) -> PermReport:
-    """The report on a full value table.  An involution is a permutation,
-    so one pass checking table[table[x]] = x settles an involution, and
-    most other tables fail it at once; past its first offender the scan
-    for a repeat goes on in encoding order from start, with the values of
-    the first start points marked in seen and known to be distinct."""
-    fixed = 0
-    for bad, y in enumerate(table):
-        if table[y] != bad:
-            break
-        if y == bad:
-            fixed += 1
-    else:
-        return PermReport(field, True, True, fixed)
-    if seen is None:
-        seen = bytearray(field.q)
-    for x in range(start, field.q):
-        v = table[x]
-        if seen[v]:
-            return _collision(field, table, x)
-        seen[v] = 1
-    return PermReport(field, True, False,
-                      witness=(field.element(bad), field.element(table[table[bad]])))
+    """The report on f from its values: head holds f(0), f(1), ... in
+    encoding order, the whole table, or a prefix whose values are distinct
+    and marked in seen, with vals = f(alpha^k) for k = 0, ..., q - 2.  One
+    pass of f(f(x)) = x settles an involution; a prefix takes it first
+    over its first chunk, reading f past the prefix from vals, and only a
+    map that gets through is gathered whole.  Past the first offender, a
+    field above _FULL_TABLE_Q marks f(0) and every value: a permutation
+    is settled there, and otherwise the scan for the first repeat in
+    encoding order, the witness, goes on from the end of the prefix."""
+    q, n = field.q, len(head)
+    table = head if n == q else None
+    if table is None:
+        log = field.log_table
+        for bad, y in enumerate(head[:_FIRST_CHUNK]):
+            if (back := head[y] if y < n else vals[log[y]]) != bad:
+                break
+        else:
+            table = _gather(head[0], vals, log)
+    if table is not None:
+        fixed = 0
+        for bad, y in enumerate(table):
+            if table[y] != bad:
+                break
+            if y == bad:
+                fixed += 1
+        else:
+            return PermReport(field, True, True, fixed)
+        back = table[y]
+    if q <= _FULL_TABLE_Q or not _onto(q, head[0], table if vals is None else vals):
+        if table is None:
+            table = _gather(head[0], vals, field.log_table)
+        if seen is None:
+            n, seen = 0, bytearray(q)
+        for x in range(n, q):
+            v = table[x]
+            if seen[v]:
+                return _collision(field, table, x)
+            seen[v] = 1
+    return PermReport(field, True, False, witness=(field.element(bad), field.element(back)))
+
+
+def _gather(f0: int, vals: list[int], log: list[int]) -> list[int]:
+    """The table in encoding order from f(0) and the values in log order."""
+    table = list(map(vals.__getitem__, log))
+    table[0] = f0
+    return table
+
+
+def _onto(q: int, f0: int, vals: list[int]) -> bool:
+    """Whether f(0) and vals take every value below q."""
+    marks = bytearray(q)
+    marks[f0] = 1
+    for v in vals:
+        marks[v] = 1
+    return 0 not in marks
 
 
 def _chunks(start: int, stop: int):
@@ -98,9 +134,9 @@ def sweep(f: SparsePoly) -> PermReport:
     Odlyzko, EUROCRYPT 1989), and a map constant on cosets of a small
     subgroup sooner, so the prefix runs to _PREFIX_ROOTS*sqrt(q) points,
     at most q/2.  A map that gets through it is most likely a
-    permutation: its value_table is one log-order call over the whole
-    field, gathered through the log table, and the scan goes on from the
-    end of the prefix with its marks kept (_check_table).
+    permutation: the evaluator runs once more over the whole field, in
+    log order, and _check_table decides from those values, gathering
+    them into encoding order only for an involution or a non-permutation.
     Smaller fields and fields above TABLE_LIMIT are checked as one full
     value table, which polyring.DEFAULT_CAP bounds (FieldTooLarge)."""
     field = f.field
@@ -118,7 +154,7 @@ def sweep(f: SparsePoly) -> PermReport:
             if seen[v]:
                 return _collision(field, by_enc, x)
             seen[v] = 1
-    return _check_table(field, f.value_table(), len(by_enc), seen)
+    return _check_table(field, by_enc, values(range(q - 1)), seen)
 
 
 def compositional_inverse(f: SparsePoly) -> SparsePoly:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from math import gcd
 
 from .errors import (
@@ -144,10 +144,11 @@ class SparsePoly:
 
         The evaluator of log_values over all of k = 0, ..., q - 2 at once
         (x = alpha^k), put in encoding order through the field's log
-        table; oracle.sweep takes this table for a map that gets through
-        its encoding-order prefix.  Prime fields above TABLE_LIMIT have no
-        log table and scatter along alpha's powers.  Without a lifted
-        table, Field.add sums each term's Field.term_values."""
+        table; oracle.sweep makes the same log-order call itself for a map
+        that gets through its encoding-order prefix.  Prime fields above
+        TABLE_LIMIT have no log table and scatter along alpha's powers.
+        Without a lifted table, Field.term_values walks alpha's powers
+        once for all the terms."""
         f, terms = self.field, self.terms
         q = f.q
         if q > DEFAULT_CAP:
@@ -156,8 +157,7 @@ class SparsePoly:
             return [0] * q
         values = self.log_values()
         if values is None:
-            return reduce(lambda a, b: list(map(f.add, a, b)),
-                          (f.term_values(c.enc, e) for e, c in terms.items()))
+            return f.term_values([(c.enc, e) for e, c in terms.items()])
         vals = values(range(q - 1))
         log = f.log_table
         if log is None:   # a prime field: its lift is alpha's powers

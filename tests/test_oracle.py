@@ -14,7 +14,7 @@ from invopoly import oracle
 from invopoly.errors import FieldTooLarge, NotAPermutation
 from invopoly.gf import make_field
 from invopoly.oracle import compositional_inverse, sweep
-from invopoly.polyring import SparsePoly, compose_reduce, parse_poly
+from invopoly.polyring import SparsePoly, compose_reduce, interpolate_table, parse_poly
 
 
 def test_cube_is_not_a_permutation_of_f7(f7):
@@ -103,6 +103,24 @@ def test_frobenius_involution_above_table_limit(p, n):
     assert report.fixed_point_count == p ** (n // 2)
 
 
+@pytest.mark.parametrize("p, n, exponents", [
+    (65537, 1, [3, 40961, 65536, 131072, 65539, 0]),
+    (65539, 1, [5, 65538, 65543, 0]),
+    (2, 17, [3, 131071, 131074, 0])])
+def test_value_table_of_monomials_above_table_limit_matches_evaluate(p, n, exponents):
+    # c*x^e with e = 0, e a multiple of q - 1 (1 off zero, 0 at zero) and
+    # e >= q among the exponents: one walk per prime-field term, one walk
+    # of alpha's powers shared by the terms of an extension field
+    field = make_field(p, n)
+    assert field._log is None
+    rng = random.Random(p)
+    points = [0, 1] + [rng.randrange(field.q) for _ in range(200)]
+    for e in exponents:
+        f = SparsePoly.from_pairs(field, [(e, field.element(rng.randrange(1, field.q)))])
+        table = f.value_table()
+        assert [table[x] for x in points] == [f.evaluate(field.element(x)).enc for x in points]
+
+
 def test_value_table_above_table_limit_matches_evaluate():
     field = make_field(5, 7)
     assert field._log is None
@@ -166,10 +184,11 @@ def _sweep_polys(draw, field, max_terms):
     return SparsePoly.from_pairs(field, [(e, field.element(c)) for e, c in pairs])
 
 
-# table-backed fields of every kernel, swept whole (q <= 13) or in chunks
-WHOLE_SWEEP_FIELDS = [make_field(p, n) for p, n in [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2)]]
+# table-backed fields of every kernel, swept whole (q <= 16) or in chunks
+WHOLE_SWEEP_FIELDS = [make_field(p, n) for p, n in [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2),
+                                                    (2, 4)]]
 CHUNKED_SWEEP_FIELDS = [make_field(p, n) for p, n in
-                        [(2, 4), (5, 2), (3, 3), (2, 6), (3, 4), (11, 2), (2, 7), (5, 3),
+                        [(5, 2), (3, 3), (2, 6), (3, 4), (11, 2), (2, 7), (5, 3),
                          (13, 2), (3, 5), (251, 1), (2, 8)]]
 
 
@@ -229,6 +248,93 @@ def test_a_cube_map_of_2_16_stops_within_a_thousand_points(monkeypatch):
     assert sum(points) < 1000
     a, b = report.witness
     assert a != b and a**3 == b**3
+
+
+def _prefix_points(q: int) -> int:
+    """The points of a sweep's encoding-order prefix, x = 0 included."""
+    return min(oracle._PREFIX_ROOTS * isqrt(q), q >> 1)
+
+
+def test_a_permutation_that_is_no_involution_takes_no_table_in_encoding_order(monkeypatch):
+    # it fails f(f(x)) = x at once, and its values in log order are marked
+    # and found to cover the field: the evaluator sees the prefix and one
+    # log-order call, and neither the gather into encoding order nor the
+    # scan for a repeat (which reads that table) runs
+    field = make_field(2, 16)
+    q = field.q
+    f = parse_poly(field, "a^36187*x^58403")
+    points = _counted_points(monkeypatch)
+    calls = []
+    for name in ("_gather", "_collision"):
+        monkeypatch.setattr(oracle, name, lambda *args, name=name, wrapped=getattr(oracle, name):
+                            calls.append(name) or wrapped(*args))
+    report = sweep(f)
+    assert report.is_permutation and report.is_involution is False
+    assert calls == []
+    assert sum(points) == _prefix_points(q) - 1 + q - 1
+    assert points[-1] == q - 1
+    bad, back = report.witness
+    assert f.evaluate(f.evaluate(bad)) == back != bad
+    assert all(f.evaluate(f.evaluate(x)) == x for x in map(field.element, range(bad.enc)))
+
+
+def _involution_table(rng, q: int, cycle: int | None = None, beyond: int = 0) -> list[int]:
+    """A random involution on encodings, its points fixed or swapped in
+    pairs, or with cycle given a permutation that is one but for the
+    3-cycle cycle -> b -> c -> cycle, b and c drawn above cycle and from
+    beyond on, so that cycle is its first x with f(f(x)) != x."""
+    table = list(range(q))
+    used = []
+    if cycle is not None:
+        b, c = rng.sample(range(max(beyond, cycle + 1), q), 2)
+        table[cycle], table[b], table[c] = b, c, cycle
+        used = [cycle, b, c]
+    rest = [x for x in range(q) if x not in used]
+    rng.shuffle(rest)
+    for u, v in zip(rest[::2], rest[1::2]):
+        if rng.random() < 0.8:
+            table[u], table[v] = v, u
+    return table
+
+
+AROUND_THE_PREFIX = ["3-cycle past the prefix", "offender at the prefix's last point",
+                     "offender's image past the prefix", "offender at the first chunk's edge",
+                     "collision past the prefix"]
+
+
+@pytest.mark.parametrize("kind", AROUND_THE_PREFIX, ids=["cycle-past", "offender-last",
+                                                         "image-past", "chunk-edge",
+                                                         "collision-past"])
+@pytest.mark.parametrize("field", [make_field(2, 8), make_field(3, 5)], ids=["2^8", "3^5"])
+@settings(max_examples=2, derandomize=True, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_maps_built_around_the_prefix_match_the_pointwise_reference(field, kind, rng):
+    # value tables interpolated so that the prefix passes and the map fails
+    # past it, or the first offender sits at an edge: an involution on the
+    # prefix with a 3-cycle past it; a first offender x = n - 1, x < n - 1,
+    # or x at either side of the end of the first chunk, where the pass
+    # before the whole table is gathered stops, whose image f(x) lies past
+    # the prefix; and a map injective on the prefix (a permutation or an
+    # involution there) whose first repeat lies past it
+    q, n = field.q, _prefix_points(field.q)
+    if kind == "collision past the prefix":
+        table = _involution_table(rng, q) if rng.random() < 0.5 else rng.sample(range(q), q)
+        v = rng.randrange(n, q)
+        table[v] = table[rng.choice([x for x in range(q) if x != v])]
+    else:
+        cycle = {"3-cycle past the prefix": rng.randrange(n, q - 2),
+                 "offender at the prefix's last point": n - 1,
+                 "offender's image past the prefix": rng.randrange(n - 1),
+                 "offender at the first chunk's edge": oracle._FIRST_CHUNK - rng.randrange(2)}[kind]
+        table = _involution_table(rng, q, cycle, n)
+    f = interpolate_table(field, table)
+    expected = _reference_report(f)
+    if kind == "collision past the prefix":
+        assert not expected[0] and expected[3][1] >= n
+    else:
+        assert expected[:2] == (True, False) and expected[3] == (cycle, table[table[cycle]])
+        assert table[cycle] >= n
+    assert _fields(sweep(f)) == expected
 
 
 def test_an_involution_sweep_evaluates_the_field_once_past_its_prefix(monkeypatch):
