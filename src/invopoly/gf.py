@@ -25,12 +25,12 @@ identical results.  There pow, in extensions of degree n > 2, walks the
 base-p digits of the exponent: each conjugate a^(p^j) is one lookup in a
 Frobenius table built on the first power, and only nonzero digits cost a
 kernel mul (about 40 us per power at 2^20 and 150 us at 3^12, against 105
-and 470 us by square-and-multiply).  Value tables sum their terms in log
-order as plain integers (XOR in characteristic 2, spread digits in odd
-extensions) through lifted() and reduce each sum once; above TABLE_LIMIT
-extensions walk alpha's powers once through _times instead and read each
-term off that walk (a monomial 0.4-0.8 us per element at 3^11, 5^7 and
-7^6 on the same host).  The same lifted sums serve the subgroup transform
+and 470 us by square-and-multiply).  Value tables read alpha's powers off
+one kept walk (alpha_powers): the exp table, or above TABLE_LIMIT one
+walk through _times into an array on the first value table.  They sum
+their terms in log order as plain integers (XOR in characteristic 2,
+spread digits in odd extensions) through lifted() and reduce each sum
+once.  On log tables the same lifted sums serve the subgroup transform
 (subgroup_logs): a sum of c_j * omega^(t_j * x) on mu_d, one per point,
 behind both interpolation on mu_d and the criterion's walk.  Discrete
 logs (the k printed in 'a^k') go by Pohlig-Hellman over the prime
@@ -617,89 +617,71 @@ class Field:
         e %= self.q - 1   # no pow for a base 1 or an exponent 0 or 1
         return (a if e else 1) if e < 2 or a == 1 else self._pow(a, e)
 
-    def term_values(self, terms: Sequence[tuple[int, int]]) -> list[int]:
-        """Encodings of the sum of c * x^e over the pairs (c, e) of terms
-        (nonzero c, distinct e) for every x, indexed by the encoding of x
-        (x^0 is 1 everywhere, x = 0 included), without tables.  Past a lone
-        constant, x runs over alpha's powers: one term of a prime field
-        walks x and c * x^e with it, each step one multiply mod p;
-        otherwise alpha^i is walked once, through the chunk-table multiply
-        by alpha, and each term reads c * x^e = alpha^(log c + e*i)
-        (mod q - 1) off that walk, one discrete log per coefficient, the
-        terms summed with the kernel add."""
-        q, p, a = self.q, self.p, self._alpha_enc
-        (c, e), *more = terms
-        if e == 0 and not more:
-            return [c] * q
-        qm1, out = q - 1, [0] * q
-        if self.n == 1 and not more:
-            x, v, step = 1, c, self.pow(a, e)
-            for _ in range(qm1):
-                out[x] = v
-                x = x * a % p
-                v = v * step % p
-        else:
-            walk, x = [0] * qm1, 1
-            times_alpha = _times(p, self.n, self.mul, a)
-            for i in range(qm1):
-                walk[i] = x
-                x = times_alpha(x)
-            sums = None
-            for c, e in terms:
-                lc = self.discrete_log(Element(self, c))
-                vals = [walk[k % qm1] for k in range(lc, lc + e * qm1, e)] if e else [c] * qm1
-                sums = vals if sums is None else list(map(self.add, sums, vals))
-            for x, v in zip(walk, sums):
-                out[x] = v
-        out[0] = next((c for c, e in terms if e == 0), 0)
-        return out
+    def alpha_powers(self) -> list[int] | array:
+        """alpha^0, alpha^1, ..., alpha^(q-2) as encodings: the exp table
+        where the field has one.  Otherwise the first call walks them
+        through the chunk-table multiply by alpha; the field keeps them as
+        an array of 4 bytes per power, and that call returns the list it
+        walked, whose items are read without making a new int each time."""
+        if self._exp is not None:
+            return self._exp
+        walk, x = [], 1
+        times_alpha = _times(self.p, self.n, self.mul, self._alpha_enc)
+        for _ in range(self.q - 1):
+            walk.append(x)
+            x = times_alpha(x)
+        self._exp = array("I", walk)
+        return walk
 
     def lifted(self, terms: int):
-        """(lift, reduce_sums, reduce) to sum `terms` terms in log order, or
-        None where term_values walks alpha's powers (extensions above
-        TABLE_LIMIT, and single terms there).  lift[k] is alpha^k as an
-        integer that adds by + (XOR in characteristic 2) with no carry: its
-        encoding, or in odd extensions its digits w = bitlen(terms*(p-1))
-        bits apart, kept one per field and rebuilt wider on demand.
-        reduce_sums brings a list of sums back to encodings, in the order
-        given; reduce brings one sum back."""
-        exp, log, p, n, qm1 = self._exp, self._log, self.p, self.n, self.q - 1
-        if log is None and (n > 1 or terms < 2):
-            return None
+        """(lift, reduce_sums, reduce) to sum `terms` terms in log order.
+        lift[k] is alpha^k (alpha_powers) as an integer that adds by + (XOR
+        in characteristic 2) with no carry: its encoding, or in odd
+        extensions its digits w = bitlen(terms*(p-1)) bits apart, spread
+        through two chunk tables, kept with log tables (rebuilt wider on
+        demand) and spread again on each call above TABLE_LIMIT, where it
+        would outweigh the walk.  reduce_sums brings a list of sums back to
+        encodings, in the order given; reduce brings one sum back."""
+        exp, p, n = self.alpha_powers(), self.p, self.n
         if p == 2 or terms < 2:   # XOR sums, and single terms, are encodings
             return exp, _unchanged, _unchanged
-        if self._lift is None or self._lift[0] < terms:
-            if n == 1:   # above TABLE_LIMIT, one walk of alpha's powers
-                exp = exp or list(self.powers(self._alpha_enc, qm1))
-                self._lift = math.inf, exp, lambda sums: [s % p for s in sums], p.__rmod__
-            else:
-                w = (terms * (p - 1)).bit_length()
-                spread = [0]
-                for i in range(n):
-                    spread = [x + (c << w * i) for c in range(p) for x in spread]
-                gw, reds = _lane_tables(p, n, w)
-                m, gw2, gw3 = (1 << gw) - 1, 2 * gw, 3 * gw
-                r0, r1, r2, r3 = (reds + [[0]] * 3)[:4]
+        if n == 1:
+            return exp, lambda sums: [s % p for s in sums], p.__rmod__
+        lifted = self._lift
+        if lifted is None or lifted[0] < terms:
+            w = (terms * (p - 1)).bit_length()
+            k = n // 2
+            chunks = [[0], [0]]   # the low k digits of an encoding spread, and the rest
+            for i in range(n):
+                j = int(i >= k)
+                chunks[j] = [x + (c << w * i) for c in range(p) for x in chunks[j]]
+            (low, high), P = chunks, p**k
+            gw, reds = _lane_tables(p, n, w)
+            m, gw2, gw3 = (1 << gw) - 1, 2 * gw, 3 * gw
+            r0, r1, r2, r3 = (reds + [[0]] * 3)[:4]
 
-                def reduce_sums(sums: list[int]) -> list[int]:   # one lookup per group of lanes
-                    if len(reds) <= 2:
-                        return [r0[s & m] + r1[s >> gw] for s in sums]
-                    if len(reds) == 3:
-                        return [r0[s & m] + r1[s >> gw & m] + r2[s >> gw2] for s in sums]
-                    if len(reds) == 4:
-                        return [r0[s & m] + r1[s >> gw & m] + r2[s >> gw2 & m] + r3[s >> gw3]
-                                for s in sums]
-                    return [sum(r[s >> gw * j & m] for j, r in enumerate(reds)) for s in sums]
+            def reduce_sums(sums: list[int]) -> list[int]:   # one lookup per group of lanes
+                if len(reds) <= 2:
+                    return [r0[s & m] + r1[s >> gw] for s in sums]
+                if len(reds) == 3:
+                    return [r0[s & m] + r1[s >> gw & m] + r2[s >> gw2] for s in sums]
+                if len(reds) == 4:
+                    return [r0[s & m] + r1[s >> gw & m] + r2[s >> gw2 & m] + r3[s >> gw3]
+                            for s in sums]
+                return [sum(r[s >> gw * j & m] for j, r in enumerate(reds)) for s in sums]
 
-                def reduce(s: int) -> int:   # groups past the last look up 0 in [0]
-                    if len(reds) <= 4:
-                        return r0[s & m] + r1[s >> gw & m] + r2[s >> gw2 & m] + r3[s >> gw3]
-                    return sum(r[s >> gw * j & m] for j, r in enumerate(reds))
-                lift = map(spread.__getitem__, exp)
-                # above 2^14 entries, 64-bit lanes in an array take a quarter of a list
-                lift = array("Q", lift) if qm1 >> 14 and n * w <= 64 else list(lift)
-                self._lift = ((1 << w) - 1) // (p - 1), lift, reduce_sums, reduce
-        return self._lift[1:]
+            def reduce(s: int) -> int:   # groups past the last look up 0 in [0]
+                if len(reds) <= 4:
+                    return r0[s & m] + r1[s >> gw & m] + r2[s >> gw2 & m] + r3[s >> gw3]
+                return sum(r[s >> gw * j & m] for j, r in enumerate(reds))
+            # the kept array, not a walking call's list: 1.4 MB less peak memory at 3^12
+            lift = (low[x % P] + high[x // P] for x in self._exp)
+            # above 2^14 entries, 64-bit lanes in an array take a quarter of a list
+            lift = array("Q", lift) if len(exp) >> 14 and n * w <= 64 else list(lift)
+            lifted = ((1 << w) - 1) // (p - 1), lift, reduce_sums, reduce
+            if self._log is not None:   # above TABLE_LIMIT only the walk is kept
+                self._lift = lifted
+        return lifted[1:]
 
     def subgroup_logs(self, d: int, terms: Sequence[tuple[int, int]]):
         """The subgroup transform on logarithms, for omega = alpha^((q-1)/d)

@@ -42,11 +42,19 @@ class PermReport:
     witness: tuple[Element, Element] | None = None
 
 
-def _collision(field: Field, by_enc: list[int], x: int) -> PermReport:
+def _first_repeat(field: Field, by_enc: list[int], seen: bytearray,
+                  lo: int, hi: int) -> PermReport | None:
     """The report of a non-permutation whose first repeat in encoding
-    order is at x: by_enc holds f at 0, 1, ... up to x at least."""
-    return PermReport(field, False, witness=(field.element(by_enc.index(by_enc[x])),
-                                             field.element(x)))
+    order lies in [lo, hi), or None: by_enc holds f at 0, 1, ... up to hi
+    at least, seen marks the values before lo, which are distinct, and
+    each value passed is marked."""
+    for v in by_enc[lo:hi]:
+        if seen[v]:   # v was taken once before; its second x is the repeat
+            first = by_enc.index(v)
+            return PermReport(field, False, witness=(field.element(first),
+                                                     field.element(by_enc.index(v, first + 1))))
+        seen[v] = 1
+    return None
 
 
 def _check_table(field: Field, head: list[int], vals: list[int] | None = None,
@@ -56,9 +64,10 @@ def _check_table(field: Field, head: list[int], vals: list[int] | None = None,
     and marked in seen, with vals = f(alpha^k) for k = 0, ..., q - 2.  One
     pass of f(f(x)) = x settles an involution; a prefix takes it first
     over its first chunk, reading f past the prefix from vals, and only a
-    map that gets through is gathered whole.  Past the first offender, a
-    field above _FULL_TABLE_Q marks f(0) and every value: a permutation
-    is settled there, and otherwise the scan for the first repeat in
+    map that gets through is gathered whole.  Past the first offender, the
+    first _PREFIX_ROOTS*sqrt(q) values of a full table become a prefix,
+    scanned for a repeat as in sweep; then marking f(0) and every value
+    settles a permutation, and otherwise the scan for the first repeat in
     encoding order, the witness, goes on from the end of the prefix."""
     q, n = field.q, len(head)
     table = head if n == q else None
@@ -79,16 +88,14 @@ def _check_table(field: Field, head: list[int], vals: list[int] | None = None,
         else:
             return PermReport(field, True, True, fixed)
         back = table[y]
-    if q <= _FULL_TABLE_Q or not _onto(q, head[0], table if vals is None else vals):
+    if seen is None:   # a full table: a repeat most likely comes early, so look before marking
+        n, seen = min(q, _PREFIX_ROOTS * isqrt(q)), bytearray(q)
+        if (report := _first_repeat(field, table, seen, 0, n)) is not None:
+            return report
+    if not _onto(q, head[0], table if vals is None else vals):
         if table is None:
             table = _gather(head[0], vals, field.log_table)
-        if seen is None:
-            n, seen = 0, bytearray(q)
-        for x in range(n, q):
-            v = table[x]
-            if seen[v]:
-                return _collision(field, table, x)
-            seen[v] = 1
+        return _first_repeat(field, table, seen, n, q)
     return PermReport(field, True, False, witness=(field.element(bad), field.element(back)))
 
 
@@ -148,12 +155,9 @@ def sweep(f: SparsePoly) -> PermReport:
     seen = bytearray(q)
     seen[by_enc[0]] = 1
     for xs in _chunks(1, min(_PREFIX_ROOTS * isqrt(q), q >> 1)):
-        chunk = values(log[xs.start:xs.stop])
-        by_enc += chunk
-        for x, v in zip(xs, chunk):
-            if seen[v]:
-                return _collision(field, by_enc, x)
-            seen[v] = 1
+        by_enc += values(log[xs.start:xs.stop])
+        if (report := _first_repeat(field, by_enc, seen, xs.start, xs.stop)) is not None:
+            return report
     return _check_table(field, by_enc, values(range(q - 1)), seen)
 
 

@@ -29,6 +29,7 @@ from .gf import Element, Field
 
 COMPOSE_LIMIT = 1 << 11       # full-field interpolation is quadratic in q
 DEFAULT_CAP = 1 << 20         # largest value table and oracle sweep, largest d the criterion walks
+_VALUE_SPAN = 1 << 14         # logs value_table evaluates at a time, which bounds its peak memory
 
 
 def reduce_exponent(e: int, q: int) -> int:
@@ -102,20 +103,17 @@ class SparsePoly:
 
     def log_values(self):
         """The evaluator ks -> encodings of f(alpha^k) for each k of ks, for
-        consecutive logs as a range or any logs as a list, or None where
-        the field has no lifted table (Field.lifted).  c * x^e is
-        lift[log c + k*e] (mod q - 1), each term one pass of integer +
-        (XOR in characteristic 2) over ks, each sum reduced once; the logs
-        of the coefficients are taken once, here.  Over a range the looked
-        up logs are a range too; over a list (oracle.sweep's prefix, the
-        logs of x = 1, 2, ...) each term's pass computes them in place."""
+        consecutive logs as a range or any logs as a list.  c * x^e is
+        lift[log c + k*e] (mod q - 1) of Field.lifted, each term one pass of
+        integer + (XOR in characteristic 2) over ks, each sum reduced once;
+        the logs of the coefficients are taken once, here.  Over a range
+        the looked up logs are a range too; over a list (oracle.sweep's
+        prefix, the logs of x = 1, 2, ...) each term's pass computes them
+        in place."""
         f, terms = self.field, self.terms
         if not terms:
             return lambda ks: [0] * len(ks)
-        lifted = f.lifted(len(terms))
-        if lifted is None:
-            return None
-        lift, reduce_sums, _ = lifted
+        lift, reduce_sums, _ = f.lifted(len(terms))
         qm1, xor = f.q - 1, f.p == 2
         steps = [(f.discrete_log(c), e) for e, c in terms.items()]
 
@@ -142,31 +140,22 @@ class SparsePoly:
     def value_table(self) -> list[int]:
         """Encodings of f(x) for every x, indexed by the encoding of x.
 
-        The evaluator of log_values over all of k = 0, ..., q - 2 at once
-        (x = alpha^k), put in encoding order through the field's log
-        table; oracle.sweep makes the same log-order call itself for a map
-        that gets through its encoding-order prefix.  Prime fields above
-        TABLE_LIMIT have no log table and scatter along alpha's powers.
-        Without a lifted table, Field.term_values walks alpha's powers
-        once for all the terms."""
-        f, terms = self.field, self.terms
+        The evaluator of log_values over k = 0, ..., q - 2, _VALUE_SPAN
+        logs at a time so that no more than a span of sums is alive at
+        once, each value scattered to x = alpha^k along the field's kept
+        walk of alpha's powers (Field.alpha_powers); oracle.sweep makes
+        the same log-order call over the whole field for a map that gets
+        through its encoding-order prefix."""
+        f = self.field
         q = f.q
         if q > DEFAULT_CAP:
             raise FieldTooLarge(f"value table over q = {q} exceeds {DEFAULT_CAP}")
-        if not terms:
-            return [0] * q
-        values = self.log_values()
-        if values is None:
-            return f.term_values([(c.enc, e) for e, c in terms.items()])
-        vals = values(range(q - 1))
-        log = f.log_table
-        if log is None:   # a prime field: its lift is alpha's powers
-            out = [0] * q
-            for x, v in zip(f.lifted(len(terms))[0], vals):
+        values, walk, out = self.log_values(), f.alpha_powers(), [0] * q
+        for lo in range(0, q - 1, _VALUE_SPAN):
+            ks = range(lo, min(lo + _VALUE_SPAN, q - 1))
+            for x, v in zip(walk[lo:ks.stop], values(ks)):
                 out[x] = v
-        else:
-            out = list(map(vals.__getitem__, log))
-        out[0] = terms[0].enc if 0 in terms else 0
+        out[0] = self.coefficient(0).enc
         return out
 
     def __eq__(self, other) -> bool:
@@ -340,7 +329,7 @@ def interpolate_table(field: Field, table: list[int]) -> SparsePoly:
     if len(table) != q:
         raise ValueError(f"table must have {q} entries, got {len(table)}")
     t = [field.element(v) for v in table]
-    h = interpolate_on_subgroup(field, [t[x] for x in field.powers(field.alpha.enc, q - 1)])
+    h = interpolate_on_subgroup(field, [t[x] for x in field.alpha_powers()])
     pairs = [(0, t[0])] + [(k, c) for k, c in h.terms.items() if k]
     pairs.append((q - 1, h.coefficient(0) - t[0]))
     return SparsePoly.from_pairs(field, pairs)

@@ -23,6 +23,7 @@ from invopoly.construct import (
 from invopoly.criterion import (
     SubgroupInvolution,
     check_involution,
+    check_permutation,
     induced_subgroup_involution,
 )
 from invopoly.errors import (
@@ -32,6 +33,7 @@ from invopoly.errors import (
     PreconditionViolated,
     RSquareCondition,
 )
+from invopoly.gf import make_field
 from invopoly.oracle import sweep
 from invopoly.polyring import RhsForm, SparsePoly, parse_poly
 
@@ -62,6 +64,19 @@ def test_general_worked_example(f7):
     assert rhs.expand() == parse_poly(f7, "2*x^5 + 3*x^3 + 3*x")
     assert _is_involution(rhs.expand())
     assert construct_from_inverse(f7, 2, 1, [0, 0, 0]).expand() == rhs.expand()
+
+
+@pytest.mark.parametrize("p, n, d", [(2, 20, 11), (3, 12, 5)])
+def test_general_construction_above_table_limit_leaves_the_walk_unbuilt(p, n, d):
+    # work on mu_d stays O(d): making the field, interpolating h, both
+    # checks and printing never walk alpha's powers, which only a value
+    # table pays for
+    field = make_field(p, n)
+    assert field._exp is None
+    rhs = construct_general(field, (field.q - 1) // d, SubgroupInvolution.inversion(d), 1)
+    assert check_involution(rhs).verdict and check_permutation(rhs).ok
+    assert str(rhs.expand())
+    assert field._exp is None
 
 
 def test_general_recovers_sigma_randomly(f13, f16):

@@ -109,8 +109,8 @@ def test_frobenius_involution_above_table_limit(p, n):
     (2, 17, [3, 131071, 131074, 0])])
 def test_value_table_of_monomials_above_table_limit_matches_evaluate(p, n, exponents):
     # c*x^e with e = 0, e a multiple of q - 1 (1 off zero, 0 at zero) and
-    # e >= q among the exponents: one walk per prime-field term, one walk
-    # of alpha's powers shared by the terms of an extension field
+    # e >= q among the exponents: each term read off the one walk of
+    # alpha's powers that the field keeps from its first value table
     field = make_field(p, n)
     assert field._log is None
     rng = random.Random(p)
@@ -121,10 +121,17 @@ def test_value_table_of_monomials_above_table_limit_matches_evaluate(p, n, expon
         assert [table[x] for x in points] == [f.evaluate(field.element(x)).enc for x in points]
 
 
-def test_value_table_above_table_limit_matches_evaluate():
-    field = make_field(5, 7)
+@pytest.mark.parametrize("p, n, text", [
+    pytest.param(5, 7, "a^3*x^7 + 2*x^2", id="5^7-two-terms"),
+    pytest.param(3, 11, "a^3*x^7 + 2*x^2", id="3^11-two-terms"),
+    pytest.param(3, 11, "a^3*x^7 + 2*x^2 + a^100*x", id="3^11-three-terms"),
+    pytest.param(7, 6, "a^3*x^7 + 2*x^2", id="7^6-two-terms"),
+    pytest.param(7, 6, "a^3*x^7 + 2*x^2 + a^100*x", id="7^6-three-terms")])
+def test_value_table_above_table_limit_matches_evaluate(p, n, text):
+    # spread lanes of the kept walk, summed and reduced as on log tables
+    field = make_field(p, n)
     assert field._log is None
-    f = parse_poly(field, "a^3*x^7 + 2*x^2")
+    f = parse_poly(field, text)
     table = f.value_table()
     rng = random.Random(57)
     for enc in [0, 1] + [rng.randrange(field.q) for _ in range(300)]:
@@ -258,19 +265,19 @@ def _prefix_points(q: int) -> int:
 def test_a_permutation_that_is_no_involution_takes_no_table_in_encoding_order(monkeypatch):
     # it fails f(f(x)) = x at once, and its values in log order are marked
     # and found to cover the field: the evaluator sees the prefix and one
-    # log-order call, and neither the gather into encoding order nor the
-    # scan for a repeat (which reads that table) runs
+    # log-order call, and neither the gather into encoding order nor a
+    # scan for a repeat past the prefix (which reads that table) runs
     field = make_field(2, 16)
     q = field.q
     f = parse_poly(field, "a^36187*x^58403")
     points = _counted_points(monkeypatch)
     calls = []
-    for name in ("_gather", "_collision"):
+    for name in ("_gather", "_first_repeat"):
         monkeypatch.setattr(oracle, name, lambda *args, name=name, wrapped=getattr(oracle, name):
-                            calls.append(name) or wrapped(*args))
+                            calls.append((name, len(args[1]))) or wrapped(*args))
     report = sweep(f)
     assert report.is_permutation and report.is_involution is False
-    assert calls == []
+    assert calls and all(name == "_first_repeat" and n <= _prefix_points(q) for name, n in calls)
     assert sum(points) == _prefix_points(q) - 1 + q - 1
     assert points[-1] == q - 1
     bad, back = report.witness

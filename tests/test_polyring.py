@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invopoly import gf
 from invopoly.errors import (
     FieldTooLarge,
     HasConstantTerm,
@@ -133,14 +134,24 @@ def _lift_polys(draw, field, min_terms, max_terms):
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_value_table_equals_evaluate_on_table_backed_fields(data):
-    # a fresh field sizes its lifted table for f; the first terms of f then
-    # reuse that wider table
-    field = make_field(*data.draw(st.sampled_from(LIFT_FIELDS)))
+    # g, the first terms of f, sizes a fresh field's lifted table; f
+    # rebuilds it with wider lanes where it has more terms than they hold,
+    # and g then reads the wider table.  A table-free twin, built as fields
+    # above TABLE_LIMIT are, walks alpha's powers on its first value table
+    # and rebuilds its lanes on that kept walk
+    spec = data.draw(st.sampled_from(LIFT_FIELDS))
+    if data.draw(st.booleans()):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gf, "TABLE_LIMIT", 0)
+            field = make_field(*spec)
+        assert field.log_table is None
+    else:
+        field = make_field(*spec)
     f = data.draw(_lift_polys(field, 1, field.q + 5))
     g = SparsePoly(field, dict(list(f.terms.items())[:data.draw(st.integers(1, len(f.terms)))]))
-    for h in (f, g):
-        table = h.value_table()
-        assert table == [h.evaluate(x).enc for x in field.elements()]
+    expected = {h: [h.evaluate(x).enc for x in field.elements()] for h in (f, g)}
+    for h in (g, f, g):
+        assert h.value_table() == expected[h]
 
 
 LARGE_LIFT_FIELDS = [make_field(2, 16), make_field(3, 10)]
