@@ -13,39 +13,34 @@ to 0) and shows up here as phi(z) = 0.
 
 This module alone walks mu_d.  Every test here (first_root,
 subgroup_data and check_iff_subgroup included) is one walk of an RhsForm,
-z = omega^0, omega^1, ..., omega^{d-1}, in that order, stopping at the
-first failing z.  On fields with log tables (q up to gf.TABLE_LIMIT) the
-walk is by index: h(omega^i) is one lifted sum in log order
-(Field.subgroup_logs), read as L_i = log h(omega^i) and decoded into
+z = omega^0, omega^1, ..., omega^{d-1} as a running product, stopping at
+the first failing z.  The walk is the same on every field: g(z) and
+phi(z) are products through the field's mul and pow, table lookups where
+the field has log tables (q up to gf.TABLE_LIMIT).  Only h at one point
+differs: a lifted sum at log z (Field.lifted) with log tables, Horner's
+rule with the kernel without.  h is evaluated lazily, as refusals fail
+within a few points, and at most once per point of mu_d for each form:
+memoised on the form by the encoding of z, it is shared by
+check_involution (which also needs h(g(z)), again a point of mu_d) and
+check_permutation, and the walk itself is built once per form.
+subgroup_data, and its readers induced_subgroup_involution and
+check_iff_subgroup, decode each L_i = log h(omega^i) into
 
   l(i) = (i*r + L_i) mod d,   n_i = (L_i + i*r - l(i))/d mod s,
 
-the index map and offsets from which construct_general interpolates h.
-Then g(omega^i) = omega^l(i), f is a permutation iff gcd(r, s) = 1 and l
-is injective, and (given the r-condition) phi(omega^i) = 1 iff
-l(l(i)) = i and n_l(i) + r*n_i = 0 (mod s), so every decision is on
-integers.  Above TABLE_LIMIT a discrete log costs more than a walk step,
-and the walk stays on encodings with the field's kernel: h by Horner's
-rule, g and phi as products; only subgroup_data, and its readers
-induced_subgroup_involution and check_iff_subgroup, take a discrete log
-per point there.  h is evaluated lazily and at most once per
-point of mu_d for each form: what the walk learns is memoised on the
-form, so check_involution (which also needs h(g(z)), again a point of
-mu_d) and check_permutation share it, and the walk itself (with the
-transform Field.subgroup_logs sets up) is built once per form.  The form
-also keeps its involution report, so a constructor's decision is read
-back, not made again, and a true one answers check_permutation too.  A
-decision costs at most d evaluations of h, never q, and a walk over
-d > polyring.DEFAULT_CAP points is refused with FieldTooLarge before it
-starts.  g_map and phi_map are the same maps on single
-Elements, for callers and tests.
+the index map and offsets from which construct_general interpolates h,
+with g(omega^i) = omega^l(i).  The form also keeps its involution
+report, so a constructor's decision is read back, not made again, and a
+true one answers check_permutation too.  A decision costs at most d
+evaluations of h, never q, and a walk over d > polyring.DEFAULT_CAP
+points is refused with FieldTooLarge before it starts.  g_map and
+phi_map are the same maps on single Elements, for callers and tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import NamedTuple
 
 from .errors import (
     FieldTooLarge,
@@ -151,44 +146,29 @@ def phi_map(rhs: RhsForm, z: Element) -> Element:
 
 # -- the walk over mu_d ------------------------------------------------------
 
-def _walk(rhs: RhsForm):
-    """The one walk over mu_d behind every subgroup-level test of rhs: an
-    _IndexWalk on fields with log tables, an _EncodingWalk above
-    TABLE_LIMIT, as Field.subgroup_logs decides.  Built once per form and
-    kept on it.  d above DEFAULT_CAP is refused (FieldTooLarge) before any
-    point."""
+def _walk(rhs: RhsForm) -> _Walk:
+    """The one walk over mu_d behind every subgroup-level test of rhs,
+    built once per form and kept on it.  d above DEFAULT_CAP is refused
+    (FieldTooLarge) before any point."""
     memo = rhs._memo
     walk = memo["walk"]
     if walk is None:
         d = rhs.d
         if d > DEFAULT_CAP:
             raise FieldTooLarge(f"subgroup walk over d = {d} exceeds cap {DEFAULT_CAP}")
-        logs = rhs.field.subgroup_logs(d, [(c.enc, e) for e, c in rhs.h.terms.items()])
-        # the walk sees the form's shape, not the form, so that keeping it
-        # on the form makes no reference cycle
-        shape = _Shape(rhs.field, rhs.r, rhs.s, d)
-        walk = memo["walk"] = (_EncodingWalk(shape, memo["h"], rhs.h) if logs is None
-                               else _IndexWalk(shape, memo["h"], logs))
+        # the walk sees the form's field, r, s and d, not the form, so that
+        # keeping it on the form makes no reference cycle
+        walk = memo["walk"] = _Walk(rhs.field, rhs.r, rhs.s, d, memo["h"], rhs.h)
     return walk
 
 
-class _Shape(NamedTuple):
-    """The field, r, s and d of a form: all that _point, _decode and the
-    walks read."""
-
-    field: Field
-    r: int
-    s: int
-    d: int
-
-
-def _point(rhs: RhsForm | _Shape, i: int) -> Element:
+def _point(rhs: RhsForm | _Walk, i: int) -> Element:
     """omega^i = alpha^(s*i), the i-th point of the walk."""
     field = rhs.field
     return Element(field, field.pow(field.alpha.enc, rhs.s * i))
 
 
-def _decode(rhs: RhsForm | _Shape, i: int, log_h: int) -> tuple[int, ...]:
+def _decode(rhs: RhsForm | _Walk, i: int, log_h: int) -> tuple[int, ...]:
     """(l(i), n_i) from log_h = log h(omega^i), or () at a root (log_h = -1):
     l(i) = (i*r + log_h) mod d and n_i = (log_h + i*r - l(i))/d mod s, so
     that h(omega^i) = alpha^(d*n_i + l(i) - i*r), as construct_general
@@ -200,113 +180,103 @@ def _decode(rhs: RhsForm | _Shape, i: int, log_h: int) -> tuple[int, ...]:
     return li, (log_h + ir - li) // d % rhs.s
 
 
-class _IndexWalk:
-    """mu_d by index, z = omega^i, on a field with log tables.  h(z) is read
-    as its log, one lifted sum (Field.subgroup_logs), decoded into
-    (l(i), n_i) and memoised on the form by i, () at a root of h.  Every
-    decision is then on integers: g(omega^i) = omega^l(i), and phi(omega^i)
-    = 1 iff l(l(i)) = i and n_l(i) + r*n_i = 0 (mod s)."""
-
-    def __init__(self, shape: _Shape, memo: dict, logs):
-        self.shape = shape
-
-        def data(i: int) -> tuple[int, ...]:
-            v = memo.get(i)
-            if v is None:
-                v = memo[i] = _decode(shape, i, logs(i))
+def _lifted_h(field: Field, h):
+    """z -> h(z) on a field with log tables: one lifted sum (Field.lifted)
+    of lift[log c + e * log z] (mod q - 1) over the terms c * x^e of h,
+    XOR in characteristic 2, reduced once otherwise."""
+    log, qm1 = field.log_table, field.q - 1
+    lift, _, reduce = field.lifted(len(h.terms))
+    pairs = [(log[c.enc], e) for e, c in h.terms.items()]
+    if field.p == 2:
+        def value(z: int) -> int:
+            lz, v = log[z], 0
+            for b, e in pairs:
+                v ^= lift[(b + e * lz) % qm1]
             return v
-        self.data = data
-
-    def first_root(self) -> Element | None:
-        data = self.data
-        return next((_point(self.shape, i) for i in range(self.shape.d) if not data(i)), None)
-
-    def first_phi_failure(self) -> Element | None:
-        data, r, s = self.data, self.shape.r, self.shape.s
-        for i in range(self.shape.d):
-            a = data(i)
-            b = a and data(a[0])
-            if not b or b[0] != i or (b[1] + r * a[1]) % s:
-                return _point(self.shape, i)
-        return None
-
-    def first_collision(self):
-        data, seen = self.data, {}
-        for i in range(self.shape.d):
-            a = data(i)
-            if not a:
-                return _point(self.shape, i)
-            j = seen.setdefault(a[0], i)
-            if j != i:
-                return _point(self.shape, j), _point(self.shape, i)
-        return None
+    else:
+        def value(z: int) -> int:
+            lz, v = log[z], 0
+            for b, e in pairs:
+                v += lift[(b + e * lz) % qm1]
+            return reduce(v)
+    return value
 
 
+def _horner_h(field: Field, h):
+    """z -> h(z) with the field's kernel, by Horner's rule over the
+    exponents e_1 > ... > e_m of h:
+    h(z) = ((c_1 z^{e_1-e_2} + c_2) z^{e_2-e_3} + ... + c_m) z^{e_m}."""
+    add, mul, pow_ = field.add, field.mul, field.pow
+    exps = sorted(h.terms, reverse=True) or [0]
+    steps = [(h.terms[e].enc, e - nxt) for e, nxt in zip(exps, exps[1:])]
+    last, low = h.coefficient(exps[-1]).enc, exps[-1]
 
-class _EncodingWalk:
-    """mu_d on encodings, above TABLE_LIMIT, where a log costs more than the
-    walk: z = omega^0, omega^1, ... as a running product, h(z) by Horner's
-    rule with the kernel, memoised on the form by the encoding of z.  g(z)
-    and phi(z) are kernel products; a caller that stops at its first
-    failing z evaluates h no further."""
+    def value(z: int) -> int:
+        v = 0
+        for c, gap in steps:
+            v = mul(add(v, c), z if gap == 1 else pow_(z, gap))
+        v = add(v, last)
+        return mul(v, pow_(z, low)) if low else v
+    return value
 
-    def __init__(self, shape: _Shape, memo: dict, h):
-        field = shape.field
-        self.shape, self.field = shape, field
-        add, mul, pow_ = field.add, field.mul, field.pow
-        # Horner's rule over the exponents e_1 > ... > e_m of h:
-        # h(z) = ((c_1 z^{e_1-e_2} + c_2) z^{e_2-e_3} + ... + c_m) z^{e_m}
-        exps = sorted(h.terms, reverse=True) or [0]
-        steps = [(h.terms[e].enc, e - nxt) for e, nxt in zip(exps, exps[1:])]
-        last, low = h.coefficient(exps[-1]).enc, exps[-1]
+
+class _Walk:
+    """mu_d on encodings, as the module docstring describes: h(z) by
+    _lifted_h with log tables, by _horner_h without, memoised by z.  A
+    caller that stops at its first failing z evaluates h no further."""
+
+    def __init__(self, field: Field, r: int, s: int, d: int, memo: dict, h):
+        self.field, self.r, self.s, self.d = field, r, s, d
+        value = (_lifted_h if field.log_table is not None else _horner_h)(field, h)
 
         def h_at(z: int) -> int:
             v = memo.get(z)
             if v is None:
-                v = 0
-                for c, gap in steps:
-                    v = mul(add(v, c), z if gap == 1 else pow_(z, gap))
-                v = add(v, last)
-                if low:
-                    v = mul(v, pow_(z, low))
-                memo[z] = v
+                v = memo[z] = value(z)
             return v
         self.h_at = h_at
-        self.omega = pow_(field.alpha.enc, (field.q - 1) // shape.d)
+        self.omega = field.pow(field.alpha.enc, (field.q - 1) // d)
 
     def points(self):
-        """(z, h(z)) for z = omega^0, ..., omega^{d-1}, one at a time."""
-        h_at = self.h_at
-        return ((z, h_at(z)) for z in self.field.powers(self.omega, self.shape.d))
+        """z = omega^0, ..., omega^{d-1} as encodings, one at a time."""
+        return self.field.powers(self.omega, self.d)
 
     def data(self, i: int) -> tuple[int, ...]:
         hz = self.h_at(self.field.pow(self.omega, i))
-        return _decode(self.shape, i, self.field.discrete_log(Element(self.field, hz)) if hz else -1)
+        return _decode(self, i, self.field.discrete_log(Element(self.field, hz)) if hz else -1)
 
     def first_root(self) -> Element | None:
-        return next((Element(self.field, z) for z, hz in self.points() if hz == 0), None)
+        h_at = self.h_at
+        return next((Element(self.field, z) for z in self.points() if h_at(z) == 0), None)
 
     def first_phi_failure(self) -> Element | None:
-        field, r, s, h_at = self.field, self.shape.r, self.shape.s, self.h_at
-        mul, pow_ = field.mul, field.pow
+        field, r, s, h_at = self.field, self.r, self.s, self.h_at
+        # every base raised to a power here is nonzero (omega, and h(z) past
+        # its zero test): the field's _pow, with exponents reduced mod q - 1,
+        # skips pow's checks
+        qm1 = field.q - 1
+        mul, pow_, rq, sq = field.mul, field._pow, r % qm1, s % qm1
         zr = zz = 1   # z^r and z^((r^2-1)/s), running products past z = 1
-        for z, hz in self.points():
-            if hz == 0 or mul(mul(zz, h_at(mul(zr, pow_(hz, s)))), pow_(hz, r)) != 1:
+        for z in self.points():
+            hz = h_at(z)
+            if hz == 0 or mul(mul(zz, h_at(mul(zr, pow_(hz, sq)))), pow_(hz, rq)) != 1:
                 return Element(field, z)
             if z == 1:   # most refusals fail here, before any step is needed
-                step_r, step_z = pow_(self.omega, r), pow_(self.omega, (r * r - 1) // s)
+                step_r, step_z = pow_(self.omega, rq), pow_(self.omega, (r * r - 1) // s % qm1)
             zr, zz = mul(zr, step_r), mul(zz, step_z)
         return None
 
     def first_collision(self):
         field = self.field
-        mul, pow_ = field.mul, field.pow
+        qm1 = field.q - 1
+        mul, pow_, sq = field.mul, field._pow, self.s % qm1   # as above
         seen: dict[int, int] = {}
-        step, zr, s = pow_(self.omega, self.shape.r), 1, self.shape.s
-        for z, hz in self.points():
+        step, zr, h_at = pow_(self.omega, self.r % qm1), 1, self.h_at
+        for z in self.points():
+            hz = h_at(z)
             if hz == 0:
                 return Element(field, z)
-            gz, zr = mul(zr, pow_(hz, s)), mul(zr, step)
+            gz, zr = mul(zr, pow_(hz, sq)), mul(zr, step)
             if gz in seen:
                 return Element(field, seen[gz]), Element(field, z)
             seen[gz] = z

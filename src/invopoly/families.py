@@ -111,17 +111,19 @@ def _conj_h(ext: Field, q: int, coeffs: dict) -> SparsePoly:
     return SparsePoly.from_pairs(ext, pairs)
 
 
-def _cond_conj_symmetric(ext: Field, r: int, coeffs: dict) -> list[ConditionCheck]:
+def _cond_conj_symmetric(ext: Field, r: int, coeffs: dict):
+    """(checks, the form whose roots on mu_{q+1} they looked for, or None
+    when an earlier check fails)."""
     checks = []
     try:
         q = _split_square(ext)
     except WrongFieldShape as exc:
-        return [ConditionCheck("field-is-quadratic-extension", False, str(exc))]
+        return [ConditionCheck("field-is-quadratic-extension", False, str(exc))], None
     checks.append(ConditionCheck("field-is-quadratic-extension", True, f"base order {q}"))
     r_ok = q == 2 or (r + 1) % (q - 1) == 0
     checks.append(ConditionCheck("r-is-minus-one-mod-q-minus-1", r_ok, f"r = {r}"))
     if not r_ok:
-        return checks
+        return checks, None
     hyp = 2 * ((r * r - 1) // (q - 1)) % (q + 1) == 0
     checks.append(ConditionCheck("double-exponent-vanishes-mod-q-plus-1", hyp,
                                  f"2(r^2-1)/(q-1) mod {q + 1}"))
@@ -130,22 +132,20 @@ def _cond_conj_symmetric(ext: Field, r: int, coeffs: dict) -> list[ConditionChec
     checks.append(ConditionCheck("positions-admissible", not stray,
                                  f"outside positions {stray}" if stray else f"allowed {sorted(omg)}"))
     if stray or not hyp:
-        return checks
-    root = first_root(RhsForm(ext, r, q - 1, _conj_h(ext, q, coeffs)))
+        return checks, None
+    rhs = RhsForm(ext, r, q - 1, _conj_h(ext, q, coeffs))
+    root = first_root(rhs)
     checks.append(ConditionCheck("h-nonzero-on-mu", root is None,
                                  f"h({root}) = 0" if root is not None else ""))
-    return checks
+    return checks, rhs
 
 
 def gen_conj_symmetric(ext: Field, r: int, coeffs: dict) -> RhsForm:
     """Involution x^r * h(x^{q-1}) on F_{q^2} from conjugate-closed h:
     each supplied term h_i x^i brings its partner h_i^q x^{qi}."""
-    checks = _cond_conj_symmetric(ext, r, coeffs)
+    checks, rhs = _cond_conj_symmetric(ext, r, coeffs)
     _gate(checks)
-    q = _split_square(ext)
-    h = _conj_h(ext, q, coeffs)
-    return confirm_involution(RhsForm(ext, r, q - 1, h),
-                              "conjugate-symmetric construction failed the criterion")
+    return confirm_involution(rhs, "conjugate-symmetric construction failed the criterion")
 
 
 def gen_cor_qb(ext: Field, i: int, b) -> RhsForm:
@@ -201,57 +201,56 @@ def _mirror_complete(ext: Field, coeffs: dict, partner):
     return full, None
 
 
-def _cond_palindromic(ext: Field, base_q: int, d: int, r: int, coeffs: dict) -> list[ConditionCheck]:
+def _cond_palindromic(ext: Field, base_q: int, d: int, r: int, coeffs: dict):
+    """(checks, the form whose roots on mu_d they looked for, or None when
+    an earlier check fails)."""
     checks = []
     try:
         j = _base_degree(base_q, ext.p)
     except WrongFieldShape as exc:
-        return [ConditionCheck("base-field-shape", False, str(exc))]
+        return [ConditionCheck("base-field-shape", False, str(exc))], None
     if ext.n % j:
         return [ConditionCheck("base-field-shape", False,
-                               f"degree {ext.n} not a multiple of {j}")]
+                               f"degree {ext.n} not a multiple of {j}")], None
     m = ext.n // j
     checks.append(ConditionCheck("base-field-shape", True, f"q = {base_q}, m = {m}"))
     d_ok = d >= 1 and gcd(base_q - 1, m) % d == 0
     checks.append(ConditionCheck("d-divides-gcd", d_ok, f"gcd({base_q - 1}, {m}) vs d = {d}"))
     if not d_ok:
-        return checks
+        return checks, None
     s = (ext.q - 1) // d
     r_ok = r >= 1 and ((r + 1) % s == 0 if s > 1 else True)
     checks.append(ConditionCheck("r-is-minus-one-mod-s", r_ok, f"r = {r}, s = {s}"))
     if not r_ok:
-        return checks
+        return checks, None
     e = ((r * r - 1) // s) % d
     in_range = all(0 <= i < d for i in coeffs)
     checks.append(ConditionCheck("positions-in-range", in_range, f"d = {d}"))
     if not in_range:
-        return checks
+        return checks, None
     full, conflict = _mirror_complete(ext, coeffs, lambda i, v: ((e - i) % d, v))
     checks.append(ConditionCheck("mirror-consistent", conflict is None,
                                  f"position {conflict} assigned twice" if conflict is not None else f"e = {e}"))
     if conflict is not None:
-        return checks
+        return checks, None
     alien = [i for i, v in full.items() if v ** base_q != v]
     checks.append(ConditionCheck("coefficients-in-base-subfield", not alien,
                                  f"positions {sorted(alien)} outside order-{base_q} subfield" if alien else ""))
     if alien:
-        return checks
-    root = first_root(RhsForm(ext, r, s, SparsePoly(ext, full)))
+        return checks, None
+    rhs = RhsForm(ext, r, s, SparsePoly(ext, full))
+    root = first_root(rhs)
     checks.append(ConditionCheck("h-nonzero-on-mu", root is None,
                                  f"h({root}) = 0" if root is not None else ""))
-    return checks
+    return checks, rhs
 
 
 def gen_palindromic(ext: Field, base_q: int, d: int, r: int, coeffs: dict) -> RhsForm:
     """Involution x^r * h(x^s) on F_{q^m} from base-subfield coefficients
     mirrored around the pivot e = (r^2-1)/s mod d."""
-    checks = _cond_palindromic(ext, base_q, d, r, coeffs)
+    checks, rhs = _cond_palindromic(ext, base_q, d, r, coeffs)
     _gate(checks)
-    s = (ext.q - 1) // d
-    e = ((r * r - 1) // s) % d
-    full, _ = _mirror_complete(ext, coeffs, lambda i, v: ((e - i) % d, v))
-    return confirm_involution(RhsForm(ext, r, s, SparsePoly(ext, full)),
-                              "palindromic construction failed the criterion")
+    return confirm_involution(rhs, "palindromic construction failed the criterion")
 
 
 def _mdq1_args(ext: Field, a, b) -> tuple:
@@ -286,7 +285,7 @@ def _cond_palindromic_case(ext: Field, case_args, *values) -> list[ConditionChec
         args = case_args(ext, *values)
     except WrongFieldShape as exc:
         return [ConditionCheck("base-field-shape", False, str(exc))]
-    return _cond_palindromic(ext, *args)
+    return _cond_palindromic(ext, *args)[0]
 
 
 def gen_cor_m4d4(ext: Field, a, b, c) -> RhsForm:
@@ -564,11 +563,13 @@ class Family:
 # a call tracer does) reaches the registry too.
 FAMILIES = {fam.id: fam for fam in (
     Family("thm-conj-symmetric", "r=<int>, h<i>=<element> for admissible positions i",
-           _cond_conj_symmetric, lambda *a: gen_conj_symmetric(*a), ints=("r",), coeffs="h"),
+           lambda *a: _cond_conj_symmetric(*a)[0], lambda *a: gen_conj_symmetric(*a),
+           ints=("r",), coeffs="h"),
     Family("cor-qb", "i=<1..q>, b=<element>",
            _cond_cor_qb, lambda *a: gen_cor_qb(*a), ints=("i",), elements=("b",)),
     Family("thm-palindromic", "q=<base order>, d=<int>, r=<int>, h<i>=<element>",
-           _cond_palindromic, lambda *a: gen_palindromic(*a), ints=("q", "d", "r"), coeffs="h"),
+           lambda *a: _cond_palindromic(*a)[0], lambda *a: gen_palindromic(*a),
+           ints=("q", "d", "r"), coeffs="h"),
     Family("cor-mdq1", "a=<element>, b=<element> (both in the base subfield)",
            lambda f, *v: _cond_palindromic_case(f, _mdq1_args, *v),
            lambda *a: gen_cor_mdq1(*a), elements=("a", "b")),

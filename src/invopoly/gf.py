@@ -30,9 +30,9 @@ one kept walk (alpha_powers): the exp table, or above TABLE_LIMIT one
 walk through _times into an array on the first value table.  They sum
 their terms in log order as plain integers (XOR in characteristic 2,
 spread digits in odd extensions) through lifted() and reduce each sum
-once.  On log tables the same lifted sums serve the subgroup transform
-(subgroup_logs): a sum of c_j * omega^(t_j * x) on mu_d, one per point,
-behind both interpolation on mu_d and the criterion's walk.  Discrete
+once.  On log tables the same lifted sums evaluate h on mu_d, one point
+at a time in the criterion's walk and all of mu_d at once in
+interpolation on mu_d.  Discrete
 logs (the k printed in 'a^k') go by Pohlig-Hellman over the prime
 factors of q - 1, found once per field, with one baby-step giant-step
 table of about sqrt(l) entries per prime l, built on first use and kept
@@ -141,7 +141,7 @@ def _digits(enc: int, p: int, n: int) -> list[int]:
 
 def _pow_by_squaring(mul):
     def pow_(a: int, e: int) -> int:
-        if not e:
+        if not e or a == 1:
             return 1
         r = a
         for bit in bin(e)[3:]:   # left to right, below the leading 1
@@ -317,6 +317,8 @@ def _digit_pow(p: int, n: int, mul, pow_):
 
     def digit_pow(a: int, e: int) -> int:
         nonlocal frob
+        if a == 1:
+            return 1
         if frob is None:
             frob = _frobenius(p, n, mul, pow_)
         groups: dict[int, int] = {}
@@ -682,33 +684,6 @@ class Field:
             if self._log is not None:   # above TABLE_LIMIT only the walk is kept
                 self._lift = lifted
         return lifted[1:]
-
-    def subgroup_logs(self, d: int, terms: Sequence[tuple[int, int]]):
-        """The subgroup transform on logarithms, for omega = alpha^((q-1)/d)
-        and pairs (c_j, t_j) of nonzero encodings and integers: x -> the log
-        of sum_j c_j * omega^(t_j * x), or -1 where that sum is 0.  Each sum
-        is one lifted sum of lift[log c_j + (q-1)/d * t_j * x] (mod q - 1),
-        reduced once.  None without log tables (q above TABLE_LIMIT), where
-        callers add and multiply with the kernel."""
-        log = self._log
-        if log is None:
-            return None
-        qm1 = self.q - 1
-        lift, _, reduce = self.lifted(len(terms))
-        pairs = [(log[c], qm1 // d * t % qm1) for c, t in terms]
-        if self.p == 2:
-            def logs(x: int) -> int:
-                v = 0
-                for b, step in pairs:
-                    v ^= lift[(b + step * x) % qm1]
-                return log[v]
-        else:
-            def logs(x: int) -> int:
-                v = 0
-                for b, step in pairs:
-                    v += lift[(b + step * x) % qm1]
-                return log[reduce(v)]
-        return logs
 
     # -- multiplicative structure --------------------------------------------
 

@@ -121,7 +121,8 @@ class SparsePoly:
             consecutive, sums = isinstance(ks, range), None
             for lc, e in steps:
                 if consecutive:
-                    idx = range(lc + e * ks.start, lc + e * ks.stop, e) if e else [lc] * len(ks)
+                    idx = (range(lc + e * ks.start, lc + e * ks.stop, e * ks.step) if e
+                           else [lc] * len(ks))
                     if sums is None:
                         sums = [lift[k % qm1] for k in idx]
                     elif xor:
@@ -223,10 +224,9 @@ class RhsForm:
     @cached_property
     def _memo(self) -> dict:
         """What the criterion has learnt about this form, shared by every
-        subgroup-level check of it: under "h", each point of mu_d walked so
-        far (with log tables, the decoded pair (l(i), n_i) of omega^i by
-        i; without, h(z) by the encoding of z); under "walk", the walk
-        over mu_d once built; under "report", the involution report once
+        subgroup-level check of it: under "h", h(z) by the encoding of z
+        for each point z of mu_d walked so far; under "walk", the walk over
+        mu_d once built; under "report", the involution report once
         decided."""
         return {"h": {}, "walk": None, "report": None}
 
@@ -286,22 +286,25 @@ def bound_full_interpolation(q: int) -> None:
 def interpolate_on_subgroup(field: Field, values: list[Element]) -> SparsePoly:
     """The unique h of degree < d with h(omega^i) = values[i] on the d-th
     roots of unity, via the inverse discrete Fourier transform
-    h_k = sum_i (values[i] / d) * omega^{-ik}.  With log tables each h_k is
-    one lifted sum in log order (Field.subgroup_logs at -k), reduced once;
-    above TABLE_LIMIT the kernel adds and multiplies encodings."""
+    h_k = sum_i (values[i] / d) * omega^{-ik}.  With log tables that is
+    V(omega^-k) / d for V = sum_i values[i] * y^i, all d of them one
+    log_values call over the logs 0, -s, ..., -(d-1)*s of omega^-k (s =
+    (q - 1)/d); above TABLE_LIMIT the kernel adds and multiplies encodings."""
     d = len(values)
     if d < 1 or (field.q - 1) % d:
         raise NotADivisor(f"{d} does not divide q-1 = {field.q - 1}")
     bound_subgroup_interpolation(d)
     if any(v.field != field for v in values):
         raise ValueError("elements belong to different fields")
-    dinv = field.pow(d % field.p, -1)
-    terms = [(field.mul(v.enc, dinv), i) for i, v in enumerate(values) if v.enc]
-    logs = field.subgroup_logs(d, terms)
-    if logs is not None:
-        alpha = field.alpha
-        return SparsePoly(field, {k: alpha**lk for k in range(d) if (lk := logs(-k)) >= 0})
-    add, mul = field.add, field.mul
+    dinv, mul = field.pow(d % field.p, -1), field.mul
+    if field.log_table is not None:
+        s = (field.q - 1) // d
+        V = SparsePoly._wrap(field, {i: v for i, v in enumerate(values) if v.enc})
+        coeffs = V.log_values()(range(0, -s * d, -s))
+        return SparsePoly._wrap(
+            field, {k: Element(field, mul(c, dinv)) for k, c in enumerate(coeffs) if c})
+    terms = [(mul(v.enc, dinv), i) for i, v in enumerate(values) if v.enc]
+    add = field.add
     step = field.pow(field.alpha.enc, -((field.q - 1) // d))   # omega^{-1}
     inv_powers = list(field.powers(step, d))
     coeffs = {}

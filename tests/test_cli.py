@@ -496,3 +496,20 @@ def test_one_walk_per_decided_run(argv, monkeypatch):
     assert rc == 0, err
     assert "criterion: true\npermutation: true\n" in out
     assert len(walks) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "thm-conj-symmetric", "--field", "5^2", "--params", "r=19,h1=1"],
+    ["family", "thm-palindromic", "--field", "2^6", "--params", "q=4,d=3,r=62,h0=1"],
+])
+def test_a_family_confirms_the_form_its_checks_walked(argv, monkeypatch):
+    # the command line validates once and the generator checks again; the
+    # generator confirms the very form its own root check walked, so the run
+    # builds two walks over mu_d, not one per root check plus the criterion's
+    built = []
+    Walk = criterion._Walk
+    monkeypatch.setattr(criterion, "_Walk", lambda *args: built.append(args) or Walk(*args))
+    rc, out, err = _in_process(argv)
+    assert rc == 0, err
+    assert "criterion: true\npermutation: true\n" in out
+    assert len(built) == 2

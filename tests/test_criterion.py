@@ -34,7 +34,7 @@ from invopoly.errors import (
     PreconditionViolated,
     RSquareCondition,
 )
-from invopoly.gf import Element, Field, make_field
+from invopoly.gf import Element, make_field
 from invopoly.oracle import sweep
 from invopoly.polyring import (
     DEFAULT_CAP,
@@ -247,12 +247,10 @@ def _check_against_references(rhs):
     if perm.gcd_ok:
         assert perm.witness == witness
     # the memo both checks shared holds what the walk learnt of h on mu_d
-    # only (by the index i of omega^i where the field has log tables, by the
-    # encoding of z otherwise), and the involution report, which a second
-    # check reads back
+    # only, by the encoding of z on every field, and the involution report,
+    # which a second check reads back
     _, mu = rhs.field.subgroup(rhs.d)
-    by_index = rhs.field.subgroup_logs(rhs.d, []) is not None
-    assert set(rhs._memo["h"]) <= (set(range(rhs.d)) if by_index else {z.enc for z in mu})
+    assert set(rhs._memo["h"]) <= {z.enc for z in mu}
     assert rhs._memo["report"] is inv and check_involution(rhs) is inv
     assert subgroup_data(rhs) == _subgroup_data_reference(rhs)
 
@@ -326,14 +324,13 @@ def test_criterion_refuses_subgroups_above_the_cap():
             check(rhs)
 
 
-def test_one_transform_per_form_for_both_checks(table_free, monkeypatch):
-    # the walk over mu_d, with the transform Field.subgroup_logs sets up for
-    # it, is kept on the form: both checks of a form build it once, and a
-    # true involution report answers check_permutation without a walk
+def test_one_walk_built_per_form_for_both_checks(table_free, monkeypatch):
+    # the walk over mu_d is kept on the form: both checks of a form build it
+    # once, and a true involution report answers check_permutation without
+    # a walk
     built, walks = [], []
-    subgroup_logs, walk = Field.subgroup_logs, criterion._walk
-    monkeypatch.setattr(Field, "subgroup_logs",
-                        lambda self, d, terms: built.append(d) or subgroup_logs(self, d, terms))
+    Walk, walk = criterion._Walk, criterion._walk
+    monkeypatch.setattr(criterion, "_Walk", lambda *args: built.append(args) or Walk(*args))
     monkeypatch.setattr(criterion, "_walk", lambda rhs: walks.append(rhs) or walk(rhs))
     rng = random.Random(43)
     involutions = 0

@@ -112,6 +112,23 @@ def test_value_table_matches_pointwise_evaluation(f7, f9, f16, table_free):
                 assert table[x.enc] == f.evaluate(x).enc
 
 
+def test_log_values_over_a_range_reads_every_step():
+    # the evaluator over range(start, stop, step) gives f(alpha^k) for each k
+    # of the range, for steps s and -s alike (interpolation on mu_d walks the
+    # logs of omega^-k downwards)
+    rng = random.Random(29)
+    for field in SMALL_FIELDS:
+        q = field.q
+        for s in [t for t in range(1, q) if (q - 1) % t == 0]:
+            terms = [(rng.randrange(0, 2 * q), field.element(rng.randrange(q)))
+                     for _ in range(rng.randrange(1, 5))]
+            f = SparsePoly.from_pairs(field, terms)
+            values, start, count = f.log_values(), rng.randrange(-q, q), (q - 1) // s + 2
+            for step in (s, -s):
+                ks = range(start, start + step * count, step)
+                assert values(ks) == [f.evaluate(field.pow_alpha(k)).enc for k in ks]
+
+
 # table-backed fields of all three kernels: characteristic 2, prime, odd extension
 LIFT_FIELDS = [(2, n) for n in range(2, 9)] + [(5, 1), (13, 1), (3, 2), (3, 4), (7, 2), (5, 3)]
 
