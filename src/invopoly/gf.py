@@ -11,33 +11,31 @@ vector (c_0, ..., c_{n-1}); Element wraps one encoding, and the vector is
 computed only when asked for.  Each field does its arithmetic on
 encodings through one kernel (add, mul and pow; neg multiplies by -1)
 picked when the field is made: integer arithmetic mod p for prime fields,
-carry-less multiply for characteristic 2, digit-wise arithmetic for odd
-extensions.  The kernel mul is the only general multiply.  Multiplying by
-a fixed element and the Frobenius map a -> a^p are F_p-linear, so both are
-lookups in chunk tables that _linear_map builds from their images.  Walks
-over the powers of the primitive element alpha (the element of smallest
-encoding whose order is q - 1) step by _times, the multiply by alpha.  For
-q up to TABLE_LIMIT that walk fills exp/log tables when the field is made
-(3^8 in about 4 ms, 2^16 in 15 ms, 3^10 in 45 ms; Python 3.11, shared
-2-vCPU host), mul and pow become lookups and odd extensions add by Zech
-logarithms.  Above TABLE_LIMIT the kernel adds and multiplies with
-identical results.  There pow, in extensions of degree n > 2, walks the
-base-p digits of the exponent: each conjugate a^(p^j) is one lookup in a
-Frobenius table built on the first power, and only nonzero digits cost a
-kernel mul (about 40 us per power at 2^20 and 150 us at 3^12, against 105
-and 470 us by square-and-multiply).  Value tables read alpha's powers off
-one kept walk (alpha_powers): the exp table, or above TABLE_LIMIT one
-walk through _times into an array on the first value table.  They sum
-their terms in log order as plain integers (XOR in characteristic 2,
-spread digits in odd extensions) through lifted() and reduce each sum
-once.  On log tables the same lifted sums evaluate h on mu_d, one point
-at a time in the criterion's walk and all of mu_d at once in
-interpolation on mu_d.  Discrete
-logs (the k printed in 'a^k') go by Pohlig-Hellman over the prime
-factors of q - 1, found once per field, with one baby-step giant-step
-table of about sqrt(l) entries per prime l, built on first use and kept
-on the field; for l above about 1000 a _times table of the giant step
-is kept beside it.
+carry-less multiply for characteristic 2, digit-wise multiply for odd
+extensions.  Odd extensions add in lanes (_lanes): spread puts each
+base-p digit of an encoding in its own w-bit lane of an integer, such
+integers add with no carry between digits, and reduce brings a sum back.
+The kernel add, the F_p-linear maps of _linear_map (multiplying by a
+fixed element, the Frobenius map a -> a^p) and lifted() sums all use it.
+Walks over the powers of the primitive element alpha (the element of
+smallest encoding whose order is q - 1) step by _times, the multiply by
+alpha.  For q up to TABLE_LIMIT that walk fills exp/log tables when the
+field is made (3^8 in about 3 ms, 2^16 in 15 ms, 3^10 in 30 ms; Python
+3.11, shared 2-vCPU host), and mul and pow become lookups.  Above
+TABLE_LIMIT pow, in extensions of degree n > 2, walks the base-p digits
+of the exponent: each conjugate a^(p^j) is one lookup in a Frobenius
+table built on the first power, and only nonzero digits cost a kernel mul
+(about 40 us per power at 2^20 and 150 us at 3^12, against 105 and 470 us
+by square-and-multiply).  Value tables read alpha's powers off one kept
+walk (alpha_powers): the exp table, or above TABLE_LIMIT one walk through
+_times into an array on the first value table.  They sum their terms in
+log order through lifted() and reduce each sum once; on log tables the
+same sums evaluate h on mu_d, one point at a time in the criterion's walk
+and all of mu_d at once in interpolation on mu_d.  Discrete logs (the k
+printed in 'a^k') go by Pohlig-Hellman over the prime factors of q - 1,
+found once per field, with one baby-step giant-step table of about
+sqrt(l) entries per prime l, built on first use and kept on the field;
+for l above about 1000 a _times table of the giant step is kept beside it.
 """
 
 from __future__ import annotations
@@ -178,15 +176,13 @@ def _char2_kernel(n: int, modulus: tuple[int, ...]):
 def _odd_extension_kernel(p: int, n: int, modulus: tuple[int, ...]):
     low = [(j, c) for j, c in enumerate(modulus[:-1]) if c]
     width = 2 * n - 1
+    spread = reduce = None
 
     def add(a: int, b: int) -> int:
-        r, place = 0, 1
-        while a or b:
-            a, x = divmod(a, p)
-            b, y = divmod(b, p)
-            r += (x + y) % p * place
-            place *= p
-        return r
+        nonlocal spread, reduce
+        if spread is None:   # the lanes on the first add: a modulus search only takes powers
+            spread, reduce, _ = _lanes(p, n, (2 * (p - 1)).bit_length())
+        return reduce(spread(a) + spread(b))
 
     def mul(a: int, b: int) -> int:
         digits = []
@@ -215,18 +211,66 @@ def _odd_extension_kernel(p: int, n: int, modulus: tuple[int, ...]):
     return add, mul, _pow_by_squaring(mul)
 
 
-def _lane_tables(p: int, n: int, w: int) -> tuple[int, list[list[int]]]:
-    """(g*w, tables) for n base-p digits spread w bits apart: tables of 2^(g*w)
-    entries, at most 2^_LOOKUP_BITS (or 2^w) and not much more than p^n, map
-    each group of g spread digits to its residues mod p at its place."""
+def _chunk_count(p: int, n: int) -> int:
+    """The fewest chunks, at least two, of n base-p digits, p^k <= 2^_LOOKUP_BITS."""
+    m = 2
+    while m < n and p ** -(-n // m) > 1 << _LOOKUP_BITS:
+        m += 1
+    return m
+
+
+def _lanes(p: int, n: int, w: int):
+    """The lane object of n base-p digits (n > 1) in w-bit lanes: spread by
+    chunks (_chunk_count); reduce and reduce_sums by groups of g lanes in
+    tables of 2^(g*w) <= 2^_LOOKUP_BITS entries, or by % p where a lane is
+    wider, each in a shape picked here by group count."""
+    k = -(-n // _chunk_count(p, n))
+    P, t = p**k, [0]
+    for i in range(k):
+        t = [x + (c << w * i) for c in range(p) for x in t]
+    tables = [[x << w * lo for x in t] for lo in range(0, n, k)]
+    if len(tables) == 2:
+        t0, t1 = tables
+        spread = lambda a: t0[a % P] + t1[a // P]
+    elif len(tables) == 3:
+        t0, t1, t2 = tables
+        spread = lambda a: t0[a % P] + t1[a // P % P] + t2[a // P // P]
+    else:
+        places = [P**j for j in range(len(tables))]
+        spread = lambda a: sum(t[a // c % P] for t, c in zip(tables, places))
+    if w > _LOOKUP_BITS:   # p > 2^11, or many terms: each lane mod p, top lane first
+        m, tops = (1 << w) - 1, range(w * (n - 1), -1, -w)
+
+        def reduce(s: int) -> int:
+            r = 0
+            for b in tops:
+                r = r * p + (s >> b & m) % p
+            return r
+        return spread, reduce, lambda sums: [reduce(s) for s in sums]
     g = max(1, min(_LOOKUP_BITS, (p**n).bit_length()) // w)
-    g = -(-n // -(-n // g))   # the same groups, balanced
-    reds = [[0] for _ in range(0, n, g)]
-    for i in range(n):
-        place = p**i
-        reds[i // g] = [r + v for v in [x % p * place for x in range(1 << w)]
-                        for r in reds[i // g]]
-    return g * w, reds
+    g, red = -(-n // -(-n // g)), [0]   # the same groups, balanced
+    for place in (p**i for i in range(g)):
+        red = [r + v for v in [x % p * place for x in range(1 << w)] for r in red]
+    reds = [[r * place for r in red] for place in (p**lo for lo in range(0, n, g))]
+    gw, gm = g * w, (1 << g * w) - 1
+    gw2, gw3 = 2 * gw, 3 * gw
+    if len(reds) == 2:   # n * w exceeds bitlen(p^n), so there are at least two groups
+        r0, r1 = reds
+        return (spread, lambda s: r0[s & gm] + r1[s >> gw],
+                lambda sums: [r0[s & gm] + r1[s >> gw] for s in sums])
+    if len(reds) == 3:
+        r0, r1, r2 = reds
+        return (spread, lambda s: r0[s & gm] + r1[s >> gw & gm] + r2[s >> gw2],
+                lambda sums: [r0[s & gm] + r1[s >> gw & gm] + r2[s >> gw2] for s in sums])
+    if len(reds) == 4:
+        r0, r1, r2, r3 = reds
+        return (spread,
+                lambda s: r0[s & gm] + r1[s >> gw & gm] + r2[s >> gw2 & gm] + r3[s >> gw3],
+                lambda sums: [r0[s & gm] + r1[s >> gw & gm] + r2[s >> gw2 & gm] + r3[s >> gw3]
+                              for s in sums])
+    shifts = range(0, gw * len(reds), gw)
+    return (spread, lambda s: sum(r[s >> b & gm] for r, b in zip(reds, shifts)),
+            lambda sums: [sum(r[s >> b & gm] for r, b in zip(reds, shifts)) for s in sums])
 
 
 def _linear_map(p: int, n: int, images: Sequence[int]):
@@ -235,18 +279,13 @@ def _linear_map(p: int, n: int, images: Sequence[int]):
     1996, for any linear map).
 
     An encoding's image is the sum of the images of its m chunks of k
-    digits, from tables of p^k <= 2^_LOOKUP_BITS entries (p if p is larger),
-    m the fewest such chunks but at least two in odd extensions.
-    Characteristic 2 XORs one or two images.  Otherwise images are stored
-    spread, w = bitlen(m*(p-1)) bits per digit, to add as integers with no
-    carry between digits, and _lane_tables brings each sum back to an
-    encoding.  A chunk table is built one digit at a time, each entry a
-    spread sum of two entries brought back below p in every lane at once,
-    so no entry costs a per-digit loop.
+    digits (_chunk_count; one chunk up to 2^12 in characteristic 2, which
+    XORs images).  Otherwise the tables hold images in _lanes of w =
+    bitlen(m*(p-1)) bits, so m of them add with no carry, built a digit at
+    a time: each block is the last plus the digit's image, reduced and
+    spread again as one list.
     """
-    m = 1 if p == 2 else 2
-    while m < n and p ** -(-n // m) > 1 << _LOOKUP_BITS:
-        m += 1
+    m = 1 if p == 2 and n <= _LOOKUP_BITS else _chunk_count(p, n)
     k = -(-n // m)
     if p == 2 and m <= 2:
         ts = [[0], [0]]
@@ -254,37 +293,19 @@ def _linear_map(p: int, n: int, images: Sequence[int]):
             ts[i // k] += [x ^ img for x in ts[i // k]]
         (t0, t1), mask = ts, (1 << k) - 1
         return t0.__getitem__ if m == 1 else lambda a: t0[a & mask] ^ t1[a >> k]
-    w = (m * (p - 1)).bit_length()
-    # split into even and odd lanes, each lane has w spare bits above it:
-    # adding 2^w - p sets bit w exactly where a lane (at most 2(p-1)) is >= p
-    ones = sum(1 << 2 * w * j for j in range(-(-n // 2)))
-    even, bias = ones * ((1 << w) - 1), ones * ((1 << w) - p)
-
-    def reduce(s: int) -> int:
-        e, o = s & even, s >> w & even
-        return e - (e + bias >> w & ones) * p + (o - (o + bias >> w & ones) * p << w)
-
+    spread, reduce, reduce_sums = _lanes(p, n, (m * (p - 1)).bit_length())
     tables = [[0] for _ in range(m)]
     for i, img in enumerate(images):
-        mults = [sum(c << w * j for j, c in enumerate(_digits(img, p, n)))]
-        for _ in range(p - 2):
-            mults.append(reduce(mults[-1] + mults[0]))
-        t = tables[i // k]
-        tables[i // k] = t + [reduce(x + y) if x else y for y in mults for x in t]
-    gw, reds = _lane_tables(p, n, w)
-    P, gw2, gmask = p**k, 2 * gw, (1 << gw) - 1
-    if m == 2 and len(reds) <= 3:
-        (t0, t1), (r0, r1, r2) = tables, reds + [[0]] * (3 - len(reds))
-
-        def apply(a: int) -> int:
-            s = t0[a % P] + t1[a // P]
-            return r0[s & gmask] + r1[s >> gw & gmask] + r2[s >> gw2]
-        return apply
-
-    def apply(a: int) -> int:   # any number of chunks and groups
-        s = sum(t[a // P**j % P] for j, t in enumerate(tables))
-        return sum(red[s >> gw * j & gmask] for j, red in enumerate(reds))
-    return apply
+        block, y = tables[i // k], spread(img)
+        for _ in range(p - 1):
+            block = [spread(e) for e in reduce_sums([x + y for x in block])]
+            tables[i // k] += block
+    P = p**k
+    if m == 2:
+        t0, t1 = tables
+        return lambda a: reduce(t0[a % P] + t1[a // P])
+    places = [P**j for j in range(m)]
+    return lambda a: reduce(sum(t[a // c % P] for t, c in zip(tables, places)))
 
 
 def _times(p: int, n: int, mul, c: int):
@@ -509,12 +530,11 @@ class Field:
 
     def _use_tables(self) -> None:
         """Walk the powers of alpha once, through the chunk-table multiply
-        by alpha, to fill exp/log (and Zech), then switch mul and pow (and,
-        in odd extensions, add) to table lookups."""
-        q, p = self.q, self.p
-        qm1 = q - 1
-        exp, log, cur = [0] * qm1, [-1] * q, 1
-        times_alpha = _times(p, self.n, self.mul, self._alpha_enc)
+        by alpha, to fill exp/log, then switch mul and pow to table lookups;
+        add stays the kernel's."""
+        qm1 = self.q - 1
+        exp, log, cur = [0] * qm1, [-1] * self.q, 1
+        times_alpha = _times(self.p, self.n, self.mul, self._alpha_enc)
         for i in range(qm1):
             exp[i] = cur
             log[cur] = i
@@ -523,22 +543,6 @@ class Field:
 
         self.mul = lambda a, b: exp[(log[a] + log[b]) % qm1] if a and b else 0
         self._pow = lambda a, e: exp[log[a] * e % qm1]
-        if p == 2 or self.n == 1:
-            return
-        # Zech logarithms: 1 + alpha^k = alpha^zech[k], or 0 where zech[k]
-        # is -1; adding 1 only changes the constant digit of an encoding
-        zech = [log[y + 1 if y % p != p - 1 else y + 1 - p] for y in exp]
-
-        def add(a: int, b: int) -> int:
-            if not a:
-                return b
-            if not b:
-                return a
-            la = log[a]
-            z = zech[(log[b] - la) % qm1]
-            return exp[(la + z) % qm1] if z >= 0 else 0
-
-        self.add = add
 
     # -- identity ------------------------------------------------------------
 
@@ -636,14 +640,12 @@ class Field:
         return walk
 
     def lifted(self, terms: int):
-        """(lift, reduce_sums, reduce) to sum `terms` terms in log order.
-        lift[k] is alpha^k (alpha_powers) as an integer that adds by + (XOR
-        in characteristic 2) with no carry: its encoding, or in odd
-        extensions its digits w = bitlen(terms*(p-1)) bits apart, spread
-        through two chunk tables, kept with log tables (rebuilt wider on
-        demand) and spread again on each call above TABLE_LIMIT, where it
-        would outweigh the walk.  reduce_sums brings a list of sums back to
-        encodings, in the order given; reduce brings one sum back."""
+        """(lift, reduce_sums, reduce) to sum `terms` terms in log order:
+        lift[k] is alpha^k (alpha_powers) as an integer that adds with no
+        carry, by + (XOR in characteristic 2): its encoding, or in odd
+        extensions its _lanes of w = bitlen(terms*(p-1)) bits, kept with log
+        tables (rebuilt wider on demand) and spread again on each call above
+        TABLE_LIMIT.  reduce_sums brings a list of sums back, reduce one."""
         exp, p, n = self.alpha_powers(), self.p, self.n
         if p == 2 or terms < 2:   # XOR sums, and single terms, are encodings
             return exp, _unchanged, _unchanged
@@ -652,32 +654,9 @@ class Field:
         lifted = self._lift
         if lifted is None or lifted[0] < terms:
             w = (terms * (p - 1)).bit_length()
-            k = n // 2
-            chunks = [[0], [0]]   # the low k digits of an encoding spread, and the rest
-            for i in range(n):
-                j = int(i >= k)
-                chunks[j] = [x + (c << w * i) for c in range(p) for x in chunks[j]]
-            (low, high), P = chunks, p**k
-            gw, reds = _lane_tables(p, n, w)
-            m, gw2, gw3 = (1 << gw) - 1, 2 * gw, 3 * gw
-            r0, r1, r2, r3 = (reds + [[0]] * 3)[:4]
-
-            def reduce_sums(sums: list[int]) -> list[int]:   # one lookup per group of lanes
-                if len(reds) <= 2:
-                    return [r0[s & m] + r1[s >> gw] for s in sums]
-                if len(reds) == 3:
-                    return [r0[s & m] + r1[s >> gw & m] + r2[s >> gw2] for s in sums]
-                if len(reds) == 4:
-                    return [r0[s & m] + r1[s >> gw & m] + r2[s >> gw2 & m] + r3[s >> gw3]
-                            for s in sums]
-                return [sum(r[s >> gw * j & m] for j, r in enumerate(reds)) for s in sums]
-
-            def reduce(s: int) -> int:   # groups past the last look up 0 in [0]
-                if len(reds) <= 4:
-                    return r0[s & m] + r1[s >> gw & m] + r2[s >> gw2 & m] + r3[s >> gw3]
-                return sum(r[s >> gw * j & m] for j, r in enumerate(reds))
+            spread, reduce, reduce_sums = _lanes(p, n, w)
             # the kept array, not a walking call's list: 1.4 MB less peak memory at 3^12
-            lift = (low[x % P] + high[x // P] for x in self._exp)
+            lift = map(spread, self._exp)
             # above 2^14 entries, 64-bit lanes in an array take a quarter of a list
             lift = array("Q", lift) if len(exp) >> 14 and n * w <= 64 else list(lift)
             lifted = ((1 << w) - 1) // (p - 1), lift, reduce_sums, reduce

@@ -6,9 +6,10 @@ import math
 import pickle
 import random
 import time
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invopoly import gf
@@ -28,6 +29,7 @@ from invopoly.gf import (
     parse_field,
     subfield_embedding,
 )
+from invopoly.polyring import SparsePoly, parse_poly
 
 # Deterministic modulus choice (lexicographically smallest monic irreducible)
 # and the smallest-encoding primitive element, frozen per field.
@@ -295,10 +297,100 @@ def test_pow_by_digits_obeys_power_laws(digit_pow_fields, data):
     assert field.pow(field.pow(a, e1), e2) == field.pow(a, e1 * e2 % qm1)
 
 
+# -- lanes: the only code that adds base-p digits ------------------------------
+
+def _digit_add(p, a, b):
+    """a + b on encodings, one base-p digit at a time: the reference for lanes."""
+    r, place = 0, 1
+    while a or b:
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        r += (x + y) % p * place
+        place *= p
+    return r
+
+
+def _lane_groups(p, n, w):
+    """How many lookups reduce makes: groups of g lanes, 0 for lanes wider
+    than the lookup bound (reduced by % p lane by lane)."""
+    if w > gf._LOOKUP_BITS:
+        return 0
+    g = max(1, min(gf._LOOKUP_BITS, (p**n).bit_length()) // w)
+    return -(-n // g)
+
+
+@pytest.fixture(scope="module")
+def lane_fields(table_free):
+    shapes = [(3, 5), (3, 8), (3, 11), (5, 7), (7, 6), (3, 14), (4099, 2)]
+    return [make_field(p, n) for p, n in shapes] + [f for f in table_free if f.n > 1 and f.p > 2]
+
+
+# terms per sum: w = bitlen(terms*(p-1)) takes reduce at 3^8 through 2, 3,
+# 4 and 8 groups of lanes and past the lookup bound (13-bit lanes)
+LANE_TERMS = [2, 3, 4, 8, 32, 2048]
+
+
+def test_lane_terms_cover_every_reduce_shape():
+    assert {_lane_groups(3, 8, (t * 2).bit_length()) for t in LANE_TERMS} == {2, 3, 4, 8, 0}
+    assert _lane_groups(4099, 2, (2 * 4098).bit_length()) == 0   # p > 2^11: always wide
+
+
+@pytest.mark.parametrize("terms", LANE_TERMS)
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_lanes_add_like_digits(lane_fields, terms, data):
+    field = data.draw(st.sampled_from(lane_fields))
+    p, n, q = field.p, field.n, field.q
+    rng = data.draw(st.randoms(use_true_random=False))
+    w = (terms * (p - 1)).bit_length()
+    spread, reduce, reduce_sums = gf._lanes(p, n, w)
+    sums, expected = [], []
+    for _ in range(3):
+        # up to 8 drawn terms, the rest q - 1 (every digit p - 1, the widest lanes)
+        encs = [rng.choice((0, q - 1, rng.randrange(q))) for _ in range(min(terms, 8))]
+        for a in encs:
+            assert spread(a) == sum(c << w * i for i, c in enumerate(gf._digits(a, p, n)))
+        rest = terms - len(encs)
+        columns = zip(*(gf._digits(a, p, n) for a in encs))   # digit i of every term
+        sums.append(sum(map(spread, encs)) + rest * spread(q - 1))
+        expected.append(sum((sum(col) + rest * (p - 1)) % p * p**i
+                            for i, col in enumerate(columns)))
+    assert [reduce(s) for s in sums] == expected
+    assert reduce_sums(sums) == expected
+    a, b = rng.randrange(q), rng.randrange(q)
+    assert field.add(a, b) == _digit_add(p, a, b)
+    assert field.add(a, 0) == a and field.add(a, field.neg(a)) == 0
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_lane_linear_maps_match_the_kernel(lane_fields, data):
+    field = data.draw(st.sampled_from(lane_fields))
+    p, n, q = field.p, field.n, field.q
+    _, mul, pow_ = gf._kernel(p, n, field.modulus)
+    c = data.draw(st.integers(1, q - 1))
+    rng = data.draw(st.randoms(use_true_random=False))
+    sample = [0, 1, q - 1] + [rng.randrange(q) for _ in range(50)]
+    times = gf._times(p, n, mul, c)
+    assert [times(a) for a in sample] == [mul(a, c) for a in sample]
+    frob = gf._frobenius(p, n, mul, pow_)
+    assert [frob(a) for a in sample] == [pow_(a, p) if a else 0 for a in sample]
+
+
+def test_first_add_past_the_lookup_bound_is_cheap():
+    # p > 2^11: lanes wider than a lookup table, reduced by % p; the
+    # kernel alone, as make_field(46337, 2) spends seconds finding alpha
+    for p in (4099, 46337):
+        add = gf._kernel(p, 2, gf._smallest_irreducible(p, 2))[0]
+        start = time.perf_counter()
+        assert add(p + 3, (p - 1) * p + p - 2) == 1 == _digit_add(p, p + 3, (p - 1) * p + p - 2)
+        assert time.perf_counter() - start < 0.05
+
+
 @pytest.mark.parametrize("p, n", [(2, 8), (2, 12), (3, 5), (3, 8), (5, 4), (7, 3), (13, 1)])
 def test_tables_match_a_kernel_walk(p, n):
     field = make_field(p, n)
-    add, mul, _ = gf._kernel(p, n, field.modulus)
+    mul = gf._kernel(p, n, field.modulus)[1]
     exp, x = [], 1
     for _ in range(field.q - 1):
         exp.append(x)
@@ -308,8 +400,8 @@ def test_tables_match_a_kernel_walk(p, n):
     for k, x in enumerate(exp):
         log[x] = k
     assert field._log == log
-    # 1 + alpha^k reads Zech entry k in odd extensions
-    assert [field.add(1, x) for x in exp] == [add(1, x) for x in exp]
+    # the add of a table-backed field is the digit-wise sum, 1 + alpha^k
+    assert [field.add(1, x) for x in exp] == [_digit_add(p, 1, x) for x in exp]
 
 
 def test_subgroup_structure(f7, f64):
@@ -372,6 +464,34 @@ def test_parse_field_spec_strings(f64, f9):
         parse_field("abc")
     with pytest.raises(NotPrime):
         parse_field("12")  # 12 = 2^2 * 3 is not a prime power
+
+
+@lru_cache(maxsize=None)
+def _text_field(p, n):
+    return make_field(p, n)
+
+
+# every field over a prime below 80 with q <= 5000
+TEXT_SHAPES = [(p, n) for p in range(2, 80) if factorize(p) == [(p, 1)]
+               for n in range(1, 13) if p**n <= 5000]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(shape=st.sampled_from(TEXT_SHAPES), x=st.integers(min_value=0),
+       pairs=st.lists(st.tuples(st.integers(0, 10**4), st.integers(min_value=0)), max_size=4))
+@example(shape=(2, 6), x=5, pairs=[(3, 1), (0, 7)])   # "2^6" and its spec string
+@example(shape=(3, 2), x=8, pairs=[(1, 2)])           # "9" and "3^2"
+@example(shape=(3, 3), x=26, pairs=[(2, 13), (1, 1)])  # "27"
+@example(shape=(7, 1), x=6, pairs=[(5, 2), (3, 3), (1, 3)])   # "7"
+def test_text_forms_round_trip(shape, x, pairs):
+    p, n = shape
+    field = _text_field(p, n)
+    for text in (field.spec_string(), f"{p}^{n}", str(field.q)):
+        assert parse_field(text) == field
+    e = field.element(x % field.q)
+    assert field.parse_element(str(e)) == e
+    g = SparsePoly.from_pairs(field, [(k, field.element(c % field.q)) for k, c in pairs])
+    assert parse_poly(field, str(g)) == g
 
 
 @pytest.mark.parametrize("spec", [
