@@ -11,12 +11,22 @@ vector (c_0, ..., c_{n-1}); Element wraps one encoding, and the vector is
 computed only when asked for.  Each field does its arithmetic on
 encodings through one kernel (add, mul and pow; neg multiplies by -1)
 picked when the field is made: integer arithmetic mod p for prime fields,
-carry-less multiply for characteristic 2, digit-wise multiply for odd
-extensions.  Odd extensions add in lanes (_lanes): spread puts each
-base-p digit of an encoding in its own w-bit lane of an integer, such
-integers add with no carry between digits, and reduce brings a sum back.
-The kernel add, the F_p-linear maps of _linear_map (multiplying by a
-fixed element, the Frobenius map a -> a^p) and lifted() sums all use it.
+and in extensions a multiply that loops over the bits (p = 2) or base-p
+digits of one operand, which the modulus search and fields up to
+TABLE_LIMIT use.  Above TABLE_LIMIT an extension multiplies by one
+integer product and one fold (_product_fold): a carry-less 4-bit comb in
+characteristic 2, Kronecker substitution where a product's lanes fit a
+byte (p = 3 and 5, and 7^6), and the top n - 1 digits of the product
+folded back through chunk tables of x^(n+j) mod the modulus (1.2-1.3 us
+per product at 3^12, 5^7 and 2^20, against 12, 8 and 2.7 us by the
+loops; Python 3.11, shared 2-vCPU host).  Odd extensions add in lanes
+(_lanes): spread puts each base-p digit of an encoding in its own w-bit
+lane of an integer, such integers add with no carry between digits, and
+reduce brings a sum back (byte lanes in C).  The kernel add, the
+F_p-linear maps of _linear_map (multiplying by a fixed element, the
+Frobenius map a -> a^p), the fold of a product and lifted() sums all use
+it; a linear map and a product's fold apply their chunk tables through
+the lane object's fold, one call where the reduce fits inline.
 Walks over the powers of the primitive element alpha (the element of
 smallest encoding whose order is q - 1) step by _times, the multiply by
 alpha.  For q up to TABLE_LIMIT that walk fills exp/log tables when the
@@ -25,7 +35,7 @@ field is made (3^8 in about 3 ms, 2^16 in 15 ms, 3^10 in 30 ms; Python
 TABLE_LIMIT pow, in extensions of degree n > 2, walks the base-p digits
 of the exponent: each conjugate a^(p^j) is one lookup in a Frobenius
 table built on the first power, and only nonzero digits cost a kernel mul
-(about 40 us per power at 2^20 and 150 us at 3^12, against 105 and 470 us
+(about 17 us per power at 2^20 and 20 us at 3^12, against 34 and 36 us
 by square-and-multiply).  Value tables read alpha's powers off one kept
 walk (alpha_powers): the exp table, or above TABLE_LIMIT one walk through
 _times into an array on the first value table.  They sum their terms in
@@ -62,6 +72,7 @@ ENCODING_LIMIT = 1 << 31   # fields with q above this are rejected outright
 TABLE_LIMIT = 1 << 16      # fields up to this q get exp/log tables
 _LOOKUP_BITS = 12          # _linear_map keeps its lookup tables near 2^12 entries
 _GIANT_TABLE_M = 32        # discrete_log multiplies by a giant step of m >= 32 through _times
+_DIGIT_CHARS = b"0123456789abcdefghijklmnopqrstuvwxyz"   # int(text, p) reads p <= 36
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -120,7 +131,11 @@ def divisors(n: int) -> list[int]:
 
 def _kernel(p: int, n: int, modulus: tuple[int, ...]):
     """(add, mul, pow) on encodings mod a monic modulus, without tables;
-    pow takes a nonzero base and an exponent in [0, q-1)."""
+    pow takes a nonzero base and an exponent in [0, q-1).  mul loops over
+    digits (bits for p = 2) and builds nothing, which suits the modulus
+    search (a kernel per candidate) and fields up to TABLE_LIMIT (a few
+    hundred products before their tables stand); above TABLE_LIMIT Field
+    puts _product_fold in its place where that multiply's lanes allow."""
     if n == 1:
         return _prime_kernel(p)
     if p == 2:
@@ -181,7 +196,7 @@ def _odd_extension_kernel(p: int, n: int, modulus: tuple[int, ...]):
     def add(a: int, b: int) -> int:
         nonlocal spread, reduce
         if spread is None:   # the lanes on the first add: a modulus search only takes powers
-            spread, reduce, _ = _lanes(p, n, (2 * (p - 1)).bit_length())
+            spread, reduce = _lanes(p, n, (2 * (p - 1)).bit_length())[:2]
         return reduce(spread(a) + spread(b))
 
     def mul(a: int, b: int) -> int:
@@ -211,6 +226,72 @@ def _odd_extension_kernel(p: int, n: int, modulus: tuple[int, ...]):
     return add, mul, _pow_by_squaring(mul)
 
 
+def _product_fold(p: int, n: int, modulus: tuple[int, ...]):
+    """The multiply of an extension field above TABLE_LIMIT: one integer
+    product of 2n - 1 digits, then a fold of its top n - 1 digits h through
+    chunk tables of the images of x^(n+j) mod the modulus.
+
+    For p = 2 the product is a carry-less 4-bit comb (Lopez and Dahab,
+    INDOCRYPT 2000: a table of a times every 4-bit polynomial, four bits of
+    b per step) and the fold a _linear_map, XORed into the low n bits.
+    Otherwise it is Kronecker substitution (Schoenhage, EUROCAM 1982;
+    Harvey, J. Symb. Comput. 2009) in byte lanes, which needs n*p*(p-1) <
+    256: a product lane holds up to n*(p-1)^2 and each fold chunk adds up to
+    p - 1.  Both operands spread into one _lanes object and multiply as one
+    integer; the top lanes reduce to h, and the fold adds the spread image
+    of h to the low lanes and reduces once.
+
+    Like the lane object's functions, mul binds what it reads as default
+    arguments: locals, and no closure cells for a field to keep (but fold
+    for p = 2, built on the first product).
+    """
+    xn = 0   # x^n mod the modulus
+    for c in modulus[-2::-1]:
+        xn = xn * p + -c % p
+    images, x = [], xn   # x^(n+j) mod the modulus, j < n - 1, for the fold
+    if p == 2:
+        top, shifts = 1 << n, range(n - 1 & ~3, -1, -4)   # b's nibbles, top first
+
+        def fold(h):
+            # the first product builds the tables and rebinds fold to them:
+            # a primitive search over a prime q - 1 takes no product
+            nonlocal fold
+            x = xn
+            for _ in range(n - 1):
+                images.append(x)
+                x <<= 1
+                if x & top:
+                    x ^= top | xn
+            fold = _linear_map(2, n - 1, images)
+            return fold(h)
+
+        def mul(a, b, shifts=shifts, top=top):
+            a2, a4, a8 = a << 1, a << 2, a << 3
+            a3, a5, a6 = a2 ^ a, a4 ^ a, a4 ^ a2
+            a7 = a6 ^ a
+            comb = (0, a, a2, a3, a4, a5, a6, a7,
+                    a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7)
+            r = 0
+            for s in shifts:
+                r = r << 4 ^ comb[b >> s & 15]
+            h, r = divmod(r, top)
+            return r ^ fold(h)
+        return mul
+    spread, reduce, _, fold = _lanes(p, n, 8)
+    q = p**n
+    for _ in range(n - 1):
+        images.append(x)
+        hi, lo = divmod(x * p, q)
+        x = reduce(spread(lo) + hi * spread(xn))
+    fold = fold(images, -(-(n - 1) // _chunk_count(p, n - 1)))
+    top = 1 << 8 * n   # the low n lanes of a product are its remainder mod top
+
+    def mul(a, b, spread=spread, reduce=reduce, fold=fold, top=top):
+        h, s = divmod(spread(a) * spread(b), top)
+        return fold(reduce(h), s)
+    return mul
+
+
 def _chunk_count(p: int, n: int) -> int:
     """The fewest chunks, at least two, of n base-p digits, p^k <= 2^_LOOKUP_BITS."""
     m = 2
@@ -220,10 +301,22 @@ def _chunk_count(p: int, n: int) -> int:
 
 
 def _lanes(p: int, n: int, w: int):
-    """The lane object of n base-p digits (n > 1) in w-bit lanes: spread by
-    chunks (_chunk_count); reduce and reduce_sums by groups of g lanes in
-    tables of 2^(g*w) <= 2^_LOOKUP_BITS entries, or by % p where a lane is
-    wider, each in a shape picked here by group count."""
+    """The lane object of n base-p digits (n > 1) in w-bit lanes: (spread,
+    reduce, reduce_sums, fold).  spread goes by chunks (_chunk_count).
+    reduce and reduce_sums bring one sum or a list of sums back by up to
+    four groups of g lanes in tables of 2^(g*w) <= 2^_LOOKUP_BITS entries,
+    each group count in its own shape; past four groups, byte lanes (w = 8,
+    p <= 36) in C, as to_bytes, a translate of each lane to its base-p digit
+    character and int(..., p), and other lanes by % p one at a time.
+
+    fold(images, k) is the F_p-linear map that sends digit i to images[i],
+    in chunk tables of k digits: table j holds the spread image of every
+    value of digits jk to jk + k - 1, built a digit at a time (each block is
+    the last plus the digit's image, reduced and spread again as one list),
+    and a, s=0 -> reduce(s + the sum of a's chunk lookups) applies it, in
+    one call with the reduce inline up to two tables and three groups.
+    Functions a field keeps bind their tables as default arguments: they
+    read locals, and leave no closure cell per table alive."""
     k = -(-n // _chunk_count(p, n))
     P, t = p**k, [0]
     for i in range(k):
@@ -231,46 +324,74 @@ def _lanes(p: int, n: int, w: int):
     tables = [[x << w * lo for x in t] for lo in range(0, n, k)]
     if len(tables) == 2:
         t0, t1 = tables
-        spread = lambda a: t0[a % P] + t1[a // P]
+        spread = lambda a, t0=t0, t1=t1, P=P: t0[a % P] + t1[a // P]
     elif len(tables) == 3:
         t0, t1, t2 = tables
-        spread = lambda a: t0[a % P] + t1[a // P % P] + t2[a // P // P]
+        spread = lambda a, t0=t0, t1=t1, t2=t2, P=P: t0[a % P] + t1[a // P % P] + t2[a // P // P]
     else:
         places = [P**j for j in range(len(tables))]
         spread = lambda a: sum(t[a // c % P] for t, c in zip(tables, places))
-    if w > _LOOKUP_BITS:   # p > 2^11, or many terms: each lane mod p, top lane first
-        m, tops = (1 << w) - 1, range(w * (n - 1), -1, -w)
-
-        def reduce(s: int) -> int:
-            r = 0
-            for b in tops:
-                r = r * p + (s >> b & m) % p
-            return r
-        return spread, reduce, lambda sums: [reduce(s) for s in sums]
     g = max(1, min(_LOOKUP_BITS, (p**n).bit_length()) // w)
-    g, red = -(-n // -(-n // g)), [0]   # the same groups, balanced
-    for place in (p**i for i in range(g)):
-        red = [r + v for v in [x % p * place for x in range(1 << w)] for r in red]
-    reds = [[r * place for r in red] for place in (p**lo for lo in range(0, n, g))]
-    gw, gm = g * w, (1 << g * w) - 1
-    gw2, gw3 = 2 * gw, 3 * gw
-    if len(reds) == 2:   # n * w exceeds bitlen(p^n), so there are at least two groups
-        r0, r1 = reds
-        return (spread, lambda s: r0[s & gm] + r1[s >> gw],
-                lambda sums: [r0[s & gm] + r1[s >> gw] for s in sums])
-    if len(reds) == 3:
-        r0, r1, r2 = reds
-        return (spread, lambda s: r0[s & gm] + r1[s >> gw & gm] + r2[s >> gw2],
-                lambda sums: [r0[s & gm] + r1[s >> gw & gm] + r2[s >> gw2] for s in sums])
-    if len(reds) == 4:
-        r0, r1, r2, r3 = reds
-        return (spread,
-                lambda s: r0[s & gm] + r1[s >> gw & gm] + r2[s >> gw2 & gm] + r3[s >> gw3],
-                lambda sums: [r0[s & gm] + r1[s >> gw & gm] + r2[s >> gw2 & gm] + r3[s >> gw3]
-                              for s in sums])
-    shifts = range(0, gw * len(reds), gw)
-    return (spread, lambda s: sum(r[s >> b & gm] for r, b in zip(reds, shifts)),
-            lambda sums: [sum(r[s >> b & gm] for r, b in zip(reds, shifts)) for s in sums])
+    g = -(-n // -(-n // g))   # the same groups, balanced
+    digits = reds = reduce_sums = None
+    if w > _LOOKUP_BITS or n > 4 * g:   # past four groups
+        if w == 8 and p <= 36:
+            digits = (_DIGIT_CHARS[:p] * 256)[:256]   # byte v translates to the digit v % p
+            reduce = lambda s, n=n, digits=digits, p=p: int(s.to_bytes(n, "big").translate(digits), p)
+        else:
+            m, tops = (1 << w) - 1, range(w * (n - 1), -1, -w)
+
+            def reduce(s: int) -> int:
+                r = 0
+                for b in tops:
+                    r = r * p + (s >> b & m) % p
+                return r
+    else:
+        red = [0]
+        for place in (p**i for i in range(g)):
+            red = [r + v for v in [x % p * place for x in range(1 << w)] for r in red]
+        reds = [[r * place for r in red] for place in (p**lo for lo in range(0, n, g))]
+        gw, gm = g * w, (1 << g * w) - 1
+        gw2, gw3 = 2 * gw, 3 * gw
+        if len(reds) == 2:   # n * w exceeds bitlen(p^n), so there are at least two groups
+            r0, r1 = reds
+            reduce = lambda s, r0=r0, r1=r1, gm=gm, gw=gw: r0[s & gm] + r1[s >> gw]
+            reduce_sums = lambda sums: [r0[s & gm] + r1[s >> gw] for s in sums]
+        elif len(reds) == 3:
+            r0, r1, r2 = reds
+            reduce = lambda s, r0=r0, r1=r1, r2=r2, gm=gm, gw=gw, gw2=gw2: (
+                r0[s & gm] + r1[s >> gw & gm] + r2[s >> gw2])
+            reduce_sums = lambda sums: [r0[s & gm] + r1[s >> gw & gm] + r2[s >> gw2] for s in sums]
+        else:
+            r0, r1, r2, r3 = reds
+            reduce = lambda s, r0=r0, r1=r1, r2=r2, r3=r3, gm=gm, gw=gw, gw2=gw2, gw3=gw3: (
+                r0[s & gm] + r1[s >> gw & gm] + r2[s >> gw2 & gm] + r3[s >> gw3])
+            reduce_sums = lambda sums: [r0[s & gm] + r1[s >> gw & gm] + r2[s >> gw2 & gm]
+                                        + r3[s >> gw3] for s in sums]
+    if reduce_sums is None:   # byte lanes and lane by lane: a reduce call per sum
+        reduce_sums = lambda sums: [reduce(s) for s in sums]
+
+    def fold(images, k):
+        tables = [[0] for _ in range(-(-len(images) // k))]
+        for i, img in enumerate(images):
+            block, y = tables[i // k], spread(img)
+            for _ in range(p - 1):
+                block = [spread(e) for e in reduce_sums([x + y for x in block])]
+                tables[i // k] += block
+        P = p**k
+        if len(tables) > 2 or digits is None and (reds is None or len(reds) > 3):
+            places = [P**j for j in range(len(tables))]
+            return lambda a, s=0: reduce(s + sum(t[a // c % P] for t, c in zip(tables, places)))
+        t0, t1 = tables if len(tables) == 2 else (tables[0], [0])
+        if digits is not None:
+            return lambda a, s=0, t0=t0, t1=t1, P=P, n=n, digits=digits, p=p: int(
+                (s + t0[a % P] + t1[a // P]).to_bytes(n, "big").translate(digits), p)
+        if len(reds) == 2:
+            return lambda a, s=0, t0=t0, t1=t1, P=P, r0=r0, r1=r1, gm=gm, gw=gw: (
+                r0[(x := s + t0[a % P] + t1[a // P]) & gm] + r1[x >> gw])
+        return lambda a, s=0, t0=t0, t1=t1, P=P, r0=r0, r1=r1, r2=r2, gm=gm, gw=gw, gw2=gw2: (
+            r0[(x := s + t0[a % P] + t1[a // P]) & gm] + r1[x >> gw & gm] + r2[x >> gw2])
+    return spread, reduce, reduce_sums, fold
 
 
 def _linear_map(p: int, n: int, images: Sequence[int]):
@@ -279,33 +400,25 @@ def _linear_map(p: int, n: int, images: Sequence[int]):
     1996, for any linear map).
 
     An encoding's image is the sum of the images of its m chunks of k
-    digits (_chunk_count; one chunk up to 2^12 in characteristic 2, which
-    XORs images).  Otherwise the tables hold images in _lanes of w =
-    bitlen(m*(p-1)) bits, so m of them add with no carry, built a digit at
-    a time: each block is the last plus the digit's image, reduced and
-    spread again as one list.
+    digits (_chunk_count).  Characteristic 2 XORs images: one chunk up to
+    2^12, and at most three, as q <= ENCODING_LIMIT keeps n <= 31.
+    Otherwise it is the fold of _lanes of w = bitlen(m*(p-1)) bits, so
+    the spread images of m chunks add with no carry.
     """
     m = 1 if p == 2 and n <= _LOOKUP_BITS else _chunk_count(p, n)
     k = -(-n // m)
-    if p == 2 and m <= 2:
-        ts = [[0], [0]]
+    if p == 2:
+        tables = [[0], [0], [0]]
         for i, img in enumerate(images):
-            ts[i // k] += [x ^ img for x in ts[i // k]]
-        (t0, t1), mask = ts, (1 << k) - 1
-        return t0.__getitem__ if m == 1 else lambda a: t0[a & mask] ^ t1[a >> k]
-    spread, reduce, reduce_sums = _lanes(p, n, (m * (p - 1)).bit_length())
-    tables = [[0] for _ in range(m)]
-    for i, img in enumerate(images):
-        block, y = tables[i // k], spread(img)
-        for _ in range(p - 1):
-            block = [spread(e) for e in reduce_sums([x + y for x in block])]
-            tables[i // k] += block
-    P = p**k
-    if m == 2:
-        t0, t1 = tables
-        return lambda a: reduce(t0[a % P] + t1[a // P])
-    places = [P**j for j in range(m)]
-    return lambda a: reduce(sum(t[a // c % P] for t, c in zip(tables, places)))
+            tables[i // k] += [x ^ img for x in tables[i // k]]
+        (t0, t1, t2), mask = tables, (1 << k) - 1
+        if m == 1:
+            return t0.__getitem__
+        if m == 2:
+            return lambda a, t0=t0, t1=t1, mask=mask, k=k: t0[a & mask] ^ t1[a >> k]
+        return lambda a, t0=t0, t1=t1, t2=t2, mask=mask, k=k: (
+            t0[a & mask] ^ t1[a >> k & mask] ^ t2[a >> 2 * k])
+    return _lanes(p, n, (m * (p - 1)).bit_length())[3](images, k)
 
 
 def _times(p: int, n: int, mul, c: int):
@@ -370,14 +483,15 @@ def _zp_trim(a: list[int]) -> list[int]:
 
 
 def _zp_mod(a: list[int], f: list[int], p: int) -> list[int]:
-    # f monic
+    # f monic; its top term only clears a[k], which is dropped
     a = list(a)
     n = len(f) - 1
+    low = [(j, c) for j, c in enumerate(f[:-1]) if c]
     for k in range(len(a) - 1, n - 1, -1):
         c = a[k] % p
         if c:
-            for j in range(n + 1):
-                a[k - n + j] = (a[k - n + j] - c * f[j]) % p
+            for j, m in low:
+                a[k - n + j] = (a[k - n + j] - c * m) % p
     del a[n:]
     return _zp_trim(a)
 
@@ -519,6 +633,12 @@ class Field:
         self.modulus = modulus
         self._key = (p, n, modulus)
         self.add, self.mul, self._pow = _kernel(p, n, modulus)
+        # above the limit in characteristic 2, and in odd extensions whose
+        # product lanes fit a byte (p = 3 and 5, and 7^6): wider lanes
+        # reduce by a lookup per digit, and there the loop measured as fast
+        if self.q > TABLE_LIMIT and n > 1 and (p == 2 or n * p * (p - 1) < 256):
+            self.mul = _product_fold(p, n, modulus)
+            self._pow = _pow_by_squaring(self.mul)
         self._exp = self._log = self._lift = None
         self._factors = factorize(self.q - 1)
         self._dlog_tables: dict[int, tuple] = {}
@@ -654,7 +774,7 @@ class Field:
         lifted = self._lift
         if lifted is None or lifted[0] < terms:
             w = (terms * (p - 1)).bit_length()
-            spread, reduce, reduce_sums = _lanes(p, n, w)
+            spread, reduce, reduce_sums, _ = _lanes(p, n, w)
             # the kept array, not a walking call's list: 1.4 MB less peak memory at 3^12
             lift = map(spread, self._exp)
             # above 2^14 entries, 64-bit lanes in an array take a quarter of a list
@@ -807,7 +927,8 @@ def make_field(p: int, n: int = 1, modulus: Sequence[int] | None = None) -> Fiel
 def _find_primitive(field: Field) -> int:
     q = field.q
     checks = [(q - 1) // prime for prime, _ in field._factors]
-    for enc in range(1, q):
+    # encodings below p are constants, of order dividing p - 1
+    for enc in range(field.p if field.n > 1 else 1, q):
         if all(field.pow(enc, e) != 1 for e in checks):
             return enc
     raise AssertionError("unreachable: F_q* is cyclic")  # pragma: no cover

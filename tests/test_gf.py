@@ -6,7 +6,7 @@ import math
 import pickle
 import random
 import time
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -234,7 +234,7 @@ def test_times_matches_table_free_mul(table_free):
                                   (2, 25), (67, 3), (3, 14)])
 def test_times_matches_kernel_mul_above_table_limit(p, n):
     field = make_field(p, n)
-    assert field._log is None   # field.mul is the kernel's
+    assert field._log is None   # field.mul multiplies without tables
     rng = random.Random(p * 100 + n)
     sample = [0, 1, field.q - 1] + [rng.randrange(field.q) for _ in range(2000)]
     alpha = field.alpha.enc
@@ -257,7 +257,7 @@ def _square_and_multiply(mul, a, e):
                                   (67, 3), (2, 25), (3, 14)])
 def test_pow_by_digits_matches_square_and_multiply(p, n):
     # above TABLE_LIMIT pow walks the base-p digits of e through the
-    # Frobenius table; field.mul is the kernel's, so the reference is
+    # Frobenius table; the reference multiplies by field.mul alone, so it is
     # independent of that walk
     field = make_field(p, n)
     assert field._log is None
@@ -297,6 +297,73 @@ def test_pow_by_digits_obeys_power_laws(digit_pow_fields, data):
     assert field.pow(field.pow(a, e1), e2) == field.pow(a, e1 * e2 % qm1)
 
 
+# -- the product-and-fold multiply above TABLE_LIMIT ---------------------------
+
+def _schoolbook_mul(field, a, b):
+    """a * b on encodings, a coefficient list at a time: the reference."""
+    p, n, modulus = field.p, field.n, field.modulus
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(gf._digits(a, p, n)):
+        for j, y in enumerate(gf._digits(b, p, n)):
+            prod[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):   # x^k = x^(k-n) * (x^n - modulus)
+        c = prod[k] % p
+        for j in range(n):
+            prod[k - n + j] -= c * modulus[j]
+    return sum(c % p * p**i for i, c in enumerate(prod[:n]))
+
+
+# Kronecker lanes (p = 3, 5 and 7^6), the 4-bit comb with two and three
+# fold chunks (2^25 and up), and 7^7, past byte lanes, which keeps the loop
+PRODUCT_FOLD_SHAPES = [(3, 11), (3, 12), (3, 14), (5, 7), (5, 8), (7, 6), (7, 7),
+                       (2, 17), (2, 18), (2, 20), (2, 24), (2, 30)]
+
+
+@pytest.fixture(scope="module")
+def product_fold_fields():
+    return [make_field(p, n) for p, n in PRODUCT_FOLD_SHAPES]
+
+
+def test_product_fold_serves_byte_lanes_and_characteristic_2(product_fold_fields):
+    for field in product_fold_fields:
+        p, n = field.p, field.n
+        kind = field.mul.__qualname__.split(".")[0]
+        assert kind == ("_odd_extension_kernel" if (p, n) == (7, 7) else "_product_fold"), (p, n)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_product_fold_matches_the_loops(product_fold_fields, data):
+    field = data.draw(st.sampled_from(product_fold_fields))
+    p, n, q = field.p, field.n, field.q
+    loop = gf._kernel(p, n, field.modulus)[1]
+    operand = st.one_of(st.sampled_from([0, 1, p, p ** (n - 1), q - 1]), st.integers(0, q - 1))
+    a, b = data.draw(operand), data.draw(operand)
+    assert field.mul(a, b) == loop(a, b) == _schoolbook_mul(field, a, b)
+    if a:
+        e = data.draw(st.one_of(st.sampled_from([2, p, q - 2]), st.integers(2, q - 2)))
+        assert field.pow(a, e) == _square_and_multiply(partial(_schoolbook_mul, field), a, e)
+
+
+@pytest.mark.parametrize("p, n", [(3, 12), (2, 20)])
+def test_discrete_log_round_trips_through_the_product_fold(p, n):
+    field = make_field(p, n)
+    rng = random.Random(p * 10 + n)
+    for x in [1, p, field.q - 1] + [rng.randrange(1, field.q) for _ in range(30)]:
+        k = field.discrete_log(field.element(x))
+        assert field.pow(field.alpha.enc, k) == x
+        assert _square_and_multiply(partial(_schoolbook_mul, field), field.alpha.enc, k) == x
+
+
+def test_primitive_search_starts_past_the_constants():
+    # encodings below p are constants of order dividing p - 1; a field with
+    # p near sqrt(2^31) once tried all 46,340 of them
+    start = time.perf_counter()
+    field = make_field(46337, 2)
+    assert field.alpha.enc == 46341
+    assert time.perf_counter() - start < 0.5
+
+
 # -- lanes: the only code that adds base-p digits ------------------------------
 
 def _digit_add(p, a, b):
@@ -311,12 +378,14 @@ def _digit_add(p, a, b):
 
 
 def _lane_groups(p, n, w):
-    """How many lookups reduce makes: groups of g lanes, 0 for lanes wider
-    than the lookup bound (reduced by % p lane by lane)."""
-    if w > gf._LOOKUP_BITS:
-        return 0
+    """How many lookups reduce makes: up to four groups of g lanes; past
+    four, "bytes" for byte lanes (reduced in C) and 0 for the rest (reduced
+    by % p lane by lane)."""
     g = max(1, min(gf._LOOKUP_BITS, (p**n).bit_length()) // w)
-    return -(-n // g)
+    groups = -(-n // g)
+    if w > gf._LOOKUP_BITS or groups > 4:
+        return "bytes" if w == 8 and p <= 36 else 0
+    return groups
 
 
 @pytest.fixture(scope="module")
@@ -325,13 +394,15 @@ def lane_fields(table_free):
     return [make_field(p, n) for p, n in shapes] + [f for f in table_free if f.n > 1 and f.p > 2]
 
 
-# terms per sum: w = bitlen(terms*(p-1)) takes reduce at 3^8 through 2, 3,
-# 4 and 8 groups of lanes and past the lookup bound (13-bit lanes)
-LANE_TERMS = [2, 3, 4, 8, 32, 2048]
+# terms per sum: w = bitlen(terms*(p-1)) takes reduce at 3^8 through 2, 3
+# and 4 groups of lanes, 8 lanes one at a time, byte lanes and past the
+# lookup bound (13-bit lanes)
+LANE_TERMS = [2, 3, 4, 8, 32, 64, 2048]
 
 
 def test_lane_terms_cover_every_reduce_shape():
-    assert {_lane_groups(3, 8, (t * 2).bit_length()) for t in LANE_TERMS} == {2, 3, 4, 8, 0}
+    shapes = [_lane_groups(3, 8, (t * 2).bit_length()) for t in LANE_TERMS]
+    assert shapes == [2, 2, 3, 4, 0, "bytes", 0]
     assert _lane_groups(4099, 2, (2 * 4098).bit_length()) == 0   # p > 2^11: always wide
 
 
@@ -343,7 +414,7 @@ def test_lanes_add_like_digits(lane_fields, terms, data):
     p, n, q = field.p, field.n, field.q
     rng = data.draw(st.randoms(use_true_random=False))
     w = (terms * (p - 1)).bit_length()
-    spread, reduce, reduce_sums = gf._lanes(p, n, w)
+    spread, reduce, reduce_sums, _ = gf._lanes(p, n, w)
     sums, expected = [], []
     for _ in range(3):
         # up to 8 drawn terms, the rest q - 1 (every digit p - 1, the widest lanes)
@@ -378,10 +449,9 @@ def test_lane_linear_maps_match_the_kernel(lane_fields, data):
 
 
 def test_first_add_past_the_lookup_bound_is_cheap():
-    # p > 2^11: lanes wider than a lookup table, reduced by % p; the
-    # kernel alone, as make_field(46337, 2) spends seconds finding alpha
+    # p > 2^11: lanes wider than a lookup table, reduced by % p
     for p in (4099, 46337):
-        add = gf._kernel(p, 2, gf._smallest_irreducible(p, 2))[0]
+        add = make_field(p, 2).add
         start = time.perf_counter()
         assert add(p + 3, (p - 1) * p + p - 2) == 1 == _digit_add(p, p + 3, (p - 1) * p + p - 2)
         assert time.perf_counter() - start < 0.05
