@@ -41,7 +41,12 @@ walk (alpha_powers): the exp table, or above TABLE_LIMIT one walk through
 _times into an array on the first value table.  They sum their terms in
 log order through lifted() and reduce each sum once; on log tables the
 same sums evaluate h on mu_d, one point at a time in the criterion's walk
-and all of mu_d at once in interpolation on mu_d.  Discrete logs (the k
+and all of mu_d at once in interpolation on mu_d.  From 2^14 powers up,
+sums that are encodings (characteristic 2, and single terms) read them
+from a kept array of 4 bytes per power, built on the first such sum,
+never by make_field (above TABLE_LIMIT, the walk's array): strided reads
+of a list of int objects are bound by memory there, while at 2^12 the
+list was faster.  Discrete logs (the k
 printed in 'a^k') go by Pohlig-Hellman over the prime factors of q - 1,
 found once per field, with one baby-step giant-step table of about
 sqrt(l) entries per prime l, built on first use and kept on the field;
@@ -624,7 +629,7 @@ class Field:
     """
 
     __slots__ = ("p", "n", "q", "modulus", "_alpha_enc", "_key", "_factors",
-                 "add", "mul", "_pow", "_exp", "_log", "_lift", "_dlog_tables")
+                 "add", "mul", "_pow", "_exp", "_log", "_lift", "_words", "_dlog_tables")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
@@ -639,7 +644,7 @@ class Field:
         if self.q > TABLE_LIMIT and n > 1 and (p == 2 or n * p * (p - 1) < 256):
             self.mul = _product_fold(p, n, modulus)
             self._pow = _pow_by_squaring(self.mul)
-        self._exp = self._log = self._lift = None
+        self._exp = self._log = self._lift = self._words = None
         self._factors = factorize(self.q - 1)
         self._dlog_tables: dict[int, tuple] = {}
         self._alpha_enc = _find_primitive(self)
@@ -765,10 +770,19 @@ class Field:
         carry, by + (XOR in characteristic 2): its encoding, or in odd
         extensions its _lanes of w = bitlen(terms*(p-1)) bits, kept with log
         tables (rebuilt wider on demand) and spread again on each call above
-        TABLE_LIMIT.  reduce_sums brings a list of sums back, reduce one."""
+        TABLE_LIMIT.  Encodings from 2^14 powers up come from a kept
+        array('I'), built on the first call that needs it (above
+        TABLE_LIMIT, the array alpha_powers keeps), lanes from a 64-bit
+        array where they fit.  reduce_sums brings a list of sums back,
+        reduce one."""
         exp, p, n = self.alpha_powers(), self.p, self.n
         if p == 2 or terms < 2:   # XOR sums, and single terms, are encodings
-            return exp, _unchanged, _unchanged
+            if self._words is None:
+                if len(exp) >> 14 == 0:   # a list reads faster below 2^14 powers
+                    self._words = exp
+                else:   # strided reads of that many ints are bound by memory
+                    self._words = self._exp if self._log is None else array("I", exp)
+            return self._words, _unchanged, _unchanged
         if n == 1:
             return exp, lambda sums: [s % p for s in sums], p.__rmod__
         lifted = self._lift

@@ -13,6 +13,7 @@ plain polynomial, expand() goes back.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -29,7 +30,7 @@ from .gf import Element, Field
 
 COMPOSE_LIMIT = 1 << 11       # full-field interpolation is quadratic in q
 DEFAULT_CAP = 1 << 20         # largest value table and oracle sweep, largest d the criterion walks
-_VALUE_SPAN = 1 << 14         # logs value_table evaluates at a time, which bounds its peak memory
+_VALUE_SPAN = 1 << 14         # logs log_values sums at a time, which bounds its peak memory
 
 
 def reduce_exponent(e: int, q: int) -> int:
@@ -109,7 +110,10 @@ class SparsePoly:
         the logs of the coefficients are taken once, here.  Over a range
         the looked up logs are a range too; over a list (oracle.sweep's
         prefix, the logs of x = 1, 2, ...) each term's pass computes them
-        in place."""
+        in place.  Up to _VALUE_SPAN logs the values come as a list; past
+        that, on a field of more than _VALUE_SPAN elements, span by span
+        into one array('I'), so a whole-field pass holds at most a span of
+        sums as Python ints and its values at 4 bytes each."""
         f, terms = self.field, self.terms
         if not terms:
             return lambda ks: [0] * len(ks)
@@ -136,26 +140,34 @@ class SparsePoly:
                 else:
                     sums = [s + lift[(lc + e * k) % qm1] for s, k in zip(sums, ks)]
             return reduce_sums(sums)
-        return values
+        if qm1 <= _VALUE_SPAN:   # a smaller field's whole pass fits in one span
+            return values
+
+        def in_spans(ks):
+            if len(ks) <= _VALUE_SPAN:
+                return values(ks)
+            out = array("I")
+            for lo in range(0, len(ks), _VALUE_SPAN):
+                out.fromlist(values(ks[lo:lo + _VALUE_SPAN]))
+            return out
+        return in_spans
 
     def value_table(self) -> list[int]:
         """Encodings of f(x) for every x, indexed by the encoding of x.
 
-        The evaluator of log_values over k = 0, ..., q - 2, _VALUE_SPAN
-        logs at a time so that no more than a span of sums is alive at
-        once, each value scattered to x = alpha^k along the field's kept
-        walk of alpha's powers (Field.alpha_powers); oracle.sweep makes
-        the same log-order call over the whole field for a map that gets
-        through its encoding-order prefix."""
+        One call of the log_values evaluator over k = 0, ..., q - 2 (a
+        compact array past _VALUE_SPAN logs), each value scattered to
+        x = alpha^k along the field's kept walk of alpha's powers
+        (Field.alpha_powers); oracle.sweep makes the same log-order call
+        over the whole field for a map that gets through its
+        encoding-order prefix."""
         f = self.field
         q = f.q
         if q > DEFAULT_CAP:
             raise FieldTooLarge(f"value table over q = {q} exceeds {DEFAULT_CAP}")
-        values, walk, out = self.log_values(), f.alpha_powers(), [0] * q
-        for lo in range(0, q - 1, _VALUE_SPAN):
-            ks = range(lo, min(lo + _VALUE_SPAN, q - 1))
-            for x, v in zip(walk[lo:ks.stop], values(ks)):
-                out[x] = v
+        values, out = self.log_values(), [0] * q
+        for x, v in zip(f.alpha_powers(), values(range(q - 1))):
+            out[x] = v
         out[0] = self.coefficient(0).enc
         return out
 

@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import time
+from array import array
 from functools import lru_cache, partial
 
 import pytest
@@ -472,6 +473,29 @@ def test_tables_match_a_kernel_walk(p, n):
     assert field._log == log
     # the add of a table-backed field is the digit-wise sum, 1 + alpha^k
     assert [field.add(1, x) for x in exp] == [_digit_add(p, 1, x) for x in exp]
+
+
+@pytest.mark.parametrize("p, n", [(2, 16), (3, 10), (7, 5)])
+def test_the_compact_lift_is_built_on_first_use_and_kept(p, n):
+    # make_field builds the exp/log lists and no array beside them, so set-up
+    # keeps the objects it kept; the first encoding sum builds the array
+    field = make_field(p, n)
+    assert field._words is None and isinstance(field._exp, list)
+    lift = field.lifted(1)[0]
+    assert isinstance(lift, array) and lift.typecode == "I"
+    assert field.lifted(1)[0] is lift
+    assert len(lift) == len(field._exp) and all(a == b for a, b in zip(lift, field._exp))
+    # XOR sums of several terms read the same array; odd lanes are no encodings
+    assert (field.lifted(3)[0] is lift) == (p == 2)
+
+
+def test_the_compact_lift_is_the_kept_walk_above_the_table_limit():
+    field = make_field(65537)
+    assert field.alpha_powers() is not field._exp   # the walking call returns its list
+    assert field.lifted(1)[0] is field._exp is field.alpha_powers()
+    # below 2^14 powers a list stays faster, and no array is made
+    small = make_field(2, 12)
+    assert small.lifted(2)[0] is small._exp is small._words
 
 
 def test_subgroup_structure(f7, f64):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from invopoly.errors import (
 )
 from invopoly.gf import factorize, make_field
 from invopoly.polyring import (
+    _VALUE_SPAN,
     COMPOSE_LIMIT,
     RhsForm,
     SparsePoly,
@@ -183,6 +186,54 @@ def test_value_table_equals_evaluate_on_the_largest_table_backed_fields(data):
     rng = random.Random(len(f.terms))
     for x in rng.sample(range(field.q), 300) + [0, 1]:
         assert table[x] == f.evaluate(field.element(x)).enc
+
+
+# on both sides of 2^14 powers, where encoding sums start to read a compact
+# array, and of TABLE_LIMIT: two extensions of each characteristic kernel
+# and two prime fields
+SPAN_FIELDS = [make_field(2, 14), make_field(2, 15), make_field(7, 5), make_field(3, 9),
+               make_field(65521), make_field(65537)]
+
+
+@pytest.mark.parametrize("field", SPAN_FIELDS, ids=repr)
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_log_values_past_a_span_match_evaluate(field, data):
+    q = field.q
+    f = data.draw(_lift_polys(field, 1, 4))
+    values = f.log_values()
+    count = data.draw(st.integers(_VALUE_SPAN + 1, 2 * _VALUE_SPAN + 3))
+    start = data.draw(st.integers(-q, q))
+    step = data.draw(st.sampled_from([1, -1]) | st.integers(-q, q).filter(bool))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    ks = range(start, start + step * count, step)
+    if data.draw(st.booleans()):   # any logs, as a list
+        ks = rng.choices(range(-q, 2 * q), k=count)
+    got = values(ks)
+    # only a field of more than a span of elements has passes that long
+    assert isinstance(got, array if q > _VALUE_SPAN else list) and len(got) == count
+    for i in rng.sample(range(count), 40) + [0, _VALUE_SPAN - 1, _VALUE_SPAN, count - 1]:
+        assert got[i] == f.evaluate(field.pow_alpha(ks[i])).enc, (i, ks[i])
+    assert isinstance(values(ks[:_VALUE_SPAN]), list)
+    table = f.value_table()
+    assert isinstance(table, list) and len(table) == q
+    for x in rng.sample(range(q), 40) + [0, 1, q - 1]:
+        assert table[x] == f.evaluate(field.element(x)).enc
+
+
+def test_evaluators_are_freed_without_the_cycle_collector(f9):
+    # every sweep makes an evaluator: one that referred to itself would stay
+    # alive, with its tables, until a collection
+    for field in (f9, SPAN_FIELDS[1]):
+        f = SparsePoly.from_pairs(field, [(7, field.alpha), (2, field.one())])
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(20):
+                f.log_values()(range(3))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
