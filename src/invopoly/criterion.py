@@ -16,7 +16,8 @@ subgroup_data and check_iff_subgroup included) is one walk of an RhsForm,
 z = omega^0, omega^1, ..., omega^{d-1} as a running product, stopping at
 the first failing z.  The walk is the same on every field: g(z) and
 phi(z) are products through the field's mul and pow, table lookups where
-the field has log tables (q up to gf.TABLE_LIMIT).  Only h at one point
+the field has log tables (q up to gf.TABLE_LIMIT, and above it once a
+whole-field pass built them; a walk never does).  Only h at one point
 differs: a lifted sum at log z (Field.lifted) with log tables, Horner's
 rule with the kernel without.  h is evaluated lazily, as refusals fail
 within a few points, and at most once per point of mu_d for each form:

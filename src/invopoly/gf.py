@@ -29,24 +29,25 @@ it; a linear map and a product's fold apply their chunk tables through
 the lane object's fold, one call where the reduce fits inline.
 Walks over the powers of the primitive element alpha (the element of
 smallest encoding whose order is q - 1) step by _times, the multiply by
-alpha.  For q up to TABLE_LIMIT that walk fills exp/log tables when the
-field is made (3^8 in about 3 ms, 2^16 in 15 ms, 3^10 in 30 ms; Python
-3.11, shared 2-vCPU host), and mul and pow become lookups.  Above
-TABLE_LIMIT pow, in extensions of degree n > 2, walks the base-p digits
-of the exponent: each conjugate a^(p^j) is one lookup in a Frobenius
-table built on the first power, and only nonzero digits cost a kernel mul
-(about 17 us per power at 2^20 and 20 us at 3^12, against 34 and 36 us
-by square-and-multiply).  Value tables read alpha's powers off one kept
-walk (alpha_powers): the exp table, or above TABLE_LIMIT one walk through
-_times into an array on the first value table.  They sum their terms in
-log order through lifted() and reduce each sum once; on log tables the
-same sums evaluate h on mu_d, one point at a time in the criterion's walk
-and all of mu_d at once in interpolation on mu_d.  From 2^14 powers up,
-sums that are encodings (characteristic 2, and single terms) read them
-from a kept array of 4 bytes per power, built on the first such sum,
-never by make_field (above TABLE_LIMIT, the walk's array): strided reads
-of a list of int objects are bound by memory there, while at 2^12 the
-list was faster.  Discrete logs (the k
+alpha.  That walk fills the exp/log tables, and mul and pow become
+lookups: for q up to TABLE_LIMIT when the field is made, as lists (3^8
+in about 3 ms, 2^16 in 15 ms, 3^10 in 30 ms; Python 3.11, shared 2-vCPU
+host); above it on the first whole-field pass (a value table or an oracle
+sweep, through alpha_powers), as arrays of 4 bytes per entry, and past
+DEFAULT_CAP that pass is refused (FieldTooLarge).  Walks over mu_d never
+build them.  Until then pow, in extensions of degree n > 2, walks the
+base-p digits of the exponent: each conjugate a^(p^j) is one lookup in a
+Frobenius table built on the first power, and only nonzero digits cost a
+kernel mul (about 17 us per power at 2^20 and 20 us at 3^12, against 34
+and 36 us by square-and-multiply).  Value tables sum their terms in log
+order through lifted() and reduce each sum once; the same sums evaluate
+h on mu_d, one point at a time in the criterion's walk and all of mu_d
+at once in interpolation on mu_d.  From 2^14 powers up, sums that are
+encodings (characteristic 2, and single terms) read alpha's powers from
+an array of 4 bytes per power: the exp table itself above TABLE_LIMIT,
+below it a copy built on the first such sum, never by make_field:
+strided reads of a list of int objects are bound by memory there, while
+at 2^12 the list was faster.  Discrete logs (the k
 printed in 'a^k') go by Pohlig-Hellman over the prime factors of q - 1,
 found once per field, with one baby-step giant-step table of about
 sqrt(l) entries per prime l, built on first use and kept on the field;
@@ -65,6 +66,7 @@ from typing import Iterator, Sequence
 
 from .errors import (
     DivisionByZero,
+    FieldTooLarge,
     NotADivisor,
     NotIrreducible,
     NotPrime,
@@ -74,7 +76,8 @@ from .errors import (
 )
 
 ENCODING_LIMIT = 1 << 31   # fields with q above this are rejected outright
-TABLE_LIMIT = 1 << 16      # fields up to this q get exp/log tables
+TABLE_LIMIT = 1 << 16      # fields up to this q get exp/log tables when they are made
+DEFAULT_CAP = 1 << 20      # largest whole-field pass, largest d the criterion walks
 _LOOKUP_BITS = 12          # _linear_map keeps its lookup tables near 2^12 entries
 _GIANT_TABLE_M = 32        # discrete_log multiplies by a giant step of m >= 32 through _times
 _DIGIT_CHARS = b"0123456789abcdefghijklmnopqrstuvwxyz"   # int(text, p) reads p <= 36
@@ -656,9 +659,17 @@ class Field:
     def _use_tables(self) -> None:
         """Walk the powers of alpha once, through the chunk-table multiply
         by alpha, to fill exp/log, then switch mul and pow to table lookups;
-        add stays the kernel's."""
-        qm1 = self.q - 1
-        exp, log, cur = [0] * qm1, [-1] * self.q, 1
+        add stays the kernel's.  Above TABLE_LIMIT the tables are arrays of
+        4 bytes per entry, and past DEFAULT_CAP the walk is refused before
+        its first step: this is the bound of every whole-field pass."""
+        q = self.q
+        if q > DEFAULT_CAP:
+            raise FieldTooLarge(f"value table over q = {q} exceeds {DEFAULT_CAP}")
+        qm1, cur = q - 1, 1
+        if q > TABLE_LIMIT:
+            exp, log = array("I", [0]) * qm1, array("i", [-1]) * q
+        else:
+            exp, log = [0] * qm1, [-1] * q
         times_alpha = _times(self.p, self.n, self.mul, self._alpha_enc)
         for i in range(qm1):
             exp[i] = cur
@@ -749,39 +760,27 @@ class Field:
         return (a if e else 1) if e < 2 or a == 1 else self._pow(a, e)
 
     def alpha_powers(self) -> list[int] | array:
-        """alpha^0, alpha^1, ..., alpha^(q-2) as encodings: the exp table
-        where the field has one.  Otherwise the first call walks them
-        through the chunk-table multiply by alpha; the field keeps them as
-        an array of 4 bytes per power, and that call returns the list it
-        walked, whose items are read without making a new int each time."""
-        if self._exp is not None:
-            return self._exp
-        walk, x = [], 1
-        times_alpha = _times(self.p, self.n, self.mul, self._alpha_enc)
-        for _ in range(self.q - 1):
-            walk.append(x)
-            x = times_alpha(x)
-        self._exp = array("I", walk)
-        return walk
+        """alpha^0, alpha^1, ..., alpha^(q-2) as encodings: the exp table,
+        which above TABLE_LIMIT the first call builds with the log table
+        (FieldTooLarge past DEFAULT_CAP)."""
+        if self._exp is None:
+            self._use_tables()
+        return self._exp
 
     def lifted(self, terms: int):
         """(lift, reduce_sums, reduce) to sum `terms` terms in log order:
         lift[k] is alpha^k (alpha_powers) as an integer that adds with no
         carry, by + (XOR in characteristic 2): its encoding, or in odd
-        extensions its _lanes of w = bitlen(terms*(p-1)) bits, kept with log
-        tables (rebuilt wider on demand) and spread again on each call above
-        TABLE_LIMIT.  Encodings from 2^14 powers up come from a kept
-        array('I'), built on the first call that needs it (above
-        TABLE_LIMIT, the array alpha_powers keeps), lanes from a 64-bit
-        array where they fit.  reduce_sums brings a list of sums back,
-        reduce one."""
+        extensions its _lanes of w = bitlen(terms*(p-1)) bits, kept (rebuilt
+        wider on demand).  Encodings from 2^14 powers up come from an
+        array('I'): the exp table where it is one, otherwise a copy kept
+        from the first call that needs it; lanes from a 64-bit array where
+        they fit.  reduce_sums brings a list of sums back, reduce one."""
         exp, p, n = self.alpha_powers(), self.p, self.n
         if p == 2 or terms < 2:   # XOR sums, and single terms, are encodings
-            if self._words is None:
-                if len(exp) >> 14 == 0:   # a list reads faster below 2^14 powers
-                    self._words = exp
-                else:   # strided reads of that many ints are bound by memory
-                    self._words = self._exp if self._log is None else array("I", exp)
+            if self._words is None:   # a list reads faster below 2^14 powers, not above
+                self._words = (exp if len(exp) >> 14 == 0 or isinstance(exp, array)
+                               else array("I", exp))
             return self._words, _unchanged, _unchanged
         if n == 1:
             return exp, lambda sums: [s % p for s in sums], p.__rmod__
@@ -789,13 +788,10 @@ class Field:
         if lifted is None or lifted[0] < terms:
             w = (terms * (p - 1)).bit_length()
             spread, reduce, reduce_sums, _ = _lanes(p, n, w)
-            # the kept array, not a walking call's list: 1.4 MB less peak memory at 3^12
-            lift = map(spread, self._exp)
+            lift = map(spread, exp)
             # above 2^14 entries, 64-bit lanes in an array take a quarter of a list
             lift = array("Q", lift) if len(exp) >> 14 and n * w <= 64 else list(lift)
-            lifted = ((1 << w) - 1) // (p - 1), lift, reduce_sums, reduce
-            if self._log is not None:   # above TABLE_LIMIT only the walk is kept
-                self._lift = lifted
+            self._lift = lifted = ((1 << w) - 1) // (p - 1), lift, reduce_sums, reduce
         return lifted[1:]
 
     # -- multiplicative structure --------------------------------------------
@@ -803,7 +799,7 @@ class Field:
     @property
     def log_table(self) -> list[int] | None:
         """log_table[x] = k with alpha^k = x for x != 0, and -1 at 0; None
-        above TABLE_LIMIT."""
+        above TABLE_LIMIT until the first whole-field pass (alpha_powers)."""
         return self._log
 
     def discrete_log(self, x: Element) -> int:

@@ -1,13 +1,12 @@
 """Exhaustive ground truth for permutation and involution claims.
 
 Everything here evaluates f point by point over F_q and never consults
-the subgroup-level machinery, so it can referee it.  On fields with log
-tables and more than 16 elements, sweep evaluates in encoding order and
-stops at the first value that repeats, which is the witness itself; a
-map that gets through that prefix is evaluated whole in log order, and a
-permutation that is not an involution is decided from those values
-without a table in encoding order.  Smaller fields and fields without
-log tables are checked as a full value table.
+the subgroup-level machinery, so it can referee it.  On fields of more
+than 16 elements, sweep evaluates in encoding order and stops at the
+first value that repeats, which is the witness itself; a map that gets
+through that prefix is evaluated whole in log order, and a permutation
+that is not an involution is decided from those values without a table
+in encoding order.  Smaller fields are checked as a full value table.
 """
 
 from __future__ import annotations
@@ -67,11 +66,10 @@ def _check_table(field: Field, head: list[int], vals: Sequence[int] | None = Non
     and marked in seen, with vals = f(alpha^k) for k = 0, ..., q - 2.  One
     pass of f(f(x)) = x settles an involution; a prefix takes it first
     over its first chunk, reading f past the prefix from vals, and only a
-    map that gets through is gathered whole.  Past the first offender, the
-    first _PREFIX_ROOTS*sqrt(q) values of a full table become a prefix,
-    scanned for a repeat as in sweep; then marking f(0) and every value
-    settles a permutation, and otherwise the scan for the first repeat in
-    encoding order, the witness, goes on from the end of the prefix."""
+    map that gets through is gathered whole.  Past the first offender,
+    marking f(0) and every value settles a permutation, and otherwise the
+    scan for the first repeat in encoding order, the witness, goes on from
+    the end of the prefix (from 0 in a full table)."""
     q, n = field.q, len(head)
     table = head if n == q else None
     if table is None:
@@ -91,10 +89,8 @@ def _check_table(field: Field, head: list[int], vals: Sequence[int] | None = Non
         else:
             return PermReport(field, True, True, fixed)
         back = table[y]
-    if seen is None:   # a full table: a repeat most likely comes early, so look before marking
-        n, seen = min(q, _PREFIX_ROOTS * isqrt(q)), bytearray(q)
-        if (report := _first_repeat(field, table, seen, 0, n)) is not None:
-            return report
+    if seen is None:   # a full table
+        n, seen = 0, bytearray(q)
     if not _onto(q, head[0], table if vals is None else vals):
         if table is None:
             table = _gather(head[0], vals, field.log_table)
@@ -136,27 +132,27 @@ def sweep(f: SparsePoly) -> PermReport:
     """Evaluate f at as many points as it takes, and report permutation /
     involution status.
 
-    On fields with log tables (q up to TABLE_LIMIT) above _FULL_TABLE_Q
-    the sweep starts with a prefix in encoding order, x = 0, 1, ...: each
-    chunk (_FIRST_CHUNK points, then chunks that double the points done)
-    is one call of the SparsePoly.log_values evaluator on the logs of its
-    points.  Each value is marked in a bytearray, and the sweep stops at
-    the first value that repeats: that x and the first x of its value are
-    the witness.  Any map repeats in encoding order after about
-    sqrt(pi*q/2) points if it behaves like a random map (Flajolet and
-    Odlyzko, EUROCRYPT 1989), and a map constant on cosets of a small
+    Above _FULL_TABLE_Q the sweep starts with a prefix in encoding order,
+    x = 0, 1, ...: each chunk (_FIRST_CHUNK points, then chunks that double
+    the points done) is one call of the SparsePoly.log_values evaluator on
+    the logs of its points, read from the field's log table (built by the
+    first sweep above TABLE_LIMIT, refused past DEFAULT_CAP:
+    Field.alpha_powers).  Each value is marked in a bytearray, and the
+    sweep stops at the first value that repeats: that x and the first x of
+    its value are the witness.  Any map repeats in encoding order after
+    about sqrt(pi*q/2) points if it behaves like a random map (Flajolet
+    and Odlyzko, EUROCRYPT 1989), and a map constant on cosets of a small
     subgroup sooner, so the prefix runs to _PREFIX_ROOTS*sqrt(q) points,
     at most q/2.  A map that gets through it is most likely a
     permutation: the evaluator runs once more over the whole field, in
     log order, and _check_table decides from those values, gathering
     them into encoding order only for an involution or a non-permutation.
-    Smaller fields and fields above TABLE_LIMIT are checked as one full
-    value table, which polyring.DEFAULT_CAP bounds (FieldTooLarge)."""
+    Smaller fields are checked as one full value table."""
     field = f.field
-    q, log = field.q, field.log_table
-    if log is None or q <= _FULL_TABLE_Q:
+    if field.q <= _FULL_TABLE_Q:
         return _check_table(field, f.value_table())
-    values = f.log_values()
+    field.alpha_powers()   # builds the log table above TABLE_LIMIT
+    q, log, values = field.q, field.log_table, f.log_values()
     by_enc = [f.coefficient(0).enc]
     seen = bytearray(q)
     seen[by_enc[0]] = 1

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
+from . import gf
 from .errors import (
     FieldTooLarge,
     HasConstantTerm,
@@ -29,7 +30,7 @@ from .errors import (
 from .gf import Element, Field
 
 COMPOSE_LIMIT = 1 << 11       # full-field interpolation is quadratic in q
-DEFAULT_CAP = 1 << 20         # largest value table and oracle sweep, largest d the criterion walks
+DEFAULT_CAP = gf.DEFAULT_CAP  # read here by criterion, families and cli
 _VALUE_SPAN = 1 << 14         # logs log_values sums at a time, which bounds its peak memory
 
 
@@ -163,10 +164,9 @@ class SparsePoly:
         encoding-order prefix."""
         f = self.field
         q = f.q
-        if q > DEFAULT_CAP:
-            raise FieldTooLarge(f"value table over q = {q} exceeds {DEFAULT_CAP}")
+        exp = f.alpha_powers()   # first, for its DEFAULT_CAP refusal
         values, out = self.log_values(), [0] * q
-        for x, v in zip(f.alpha_powers(), values(range(q - 1))):
+        for x, v in zip(exp, values(range(q - 1))):
             out[x] = v
         out[0] = self.coefficient(0).enc
         return out
@@ -301,7 +301,7 @@ def interpolate_on_subgroup(field: Field, values: list[Element]) -> SparsePoly:
     h_k = sum_i (values[i] / d) * omega^{-ik}.  With log tables that is
     V(omega^-k) / d for V = sum_i values[i] * y^i, all d of them one
     log_values call over the logs 0, -s, ..., -(d-1)*s of omega^-k (s =
-    (q - 1)/d); above TABLE_LIMIT the kernel adds and multiplies encodings."""
+    (q - 1)/d); without them the kernel adds and multiplies encodings."""
     d = len(values)
     if d < 1 or (field.q - 1) % d:
         raise NotADivisor(f"{d} does not divide q-1 = {field.q - 1}")

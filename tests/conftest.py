@@ -96,20 +96,29 @@ def f3_8():
     return make_field(3, 8)
 
 
-@pytest.fixture(scope="session")
-def table_free():
+def table_free_fields() -> list[gf.Field]:
     """2^6, 3^4 and 13 built without exp/log tables, as fields above
-    TABLE_LIMIT are."""
+    TABLE_LIMIT are until a whole-field pass builds them.  The first value
+    table or sweep over one builds its tables, so each test (each example
+    of a property test) that needs them table-free builds its own."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gf, "TABLE_LIMIT", 0)
-        return [make_field(2, 6), make_field(3, 4), make_field(13)]
+        fields = [make_field(2, 6), make_field(3, 4), make_field(13)]
+    assert all(field.log_table is None for field in fields)
+    return fields
+
+
+@pytest.fixture
+def table_free():
+    """table_free_fields, fresh for each test."""
+    return table_free_fields()
 
 
 @pytest.fixture(scope="session")
-def text_fields(table_free):
+def text_fields():
     """Fields whose elements print as decimals or as 'a^k': table-backed
-    ones, the table_free ones and 2^18, above TABLE_LIMIT, where k comes
-    from Pohlig-Hellman."""
+    ones, table-free ones and 2^18, above TABLE_LIMIT, where k comes from
+    Pohlig-Hellman."""
     return [make_field(p, n) for p, n in
             [(2, 1), (7, 1), (13, 1), (2, 4), (3, 2), (5, 2), (2, 8), (3, 5), (2, 18)]
-            ] + table_free
+            ] + table_free_fields()

@@ -104,7 +104,7 @@ def _forms(field, rng: random.Random, large: bool):
         yield f"s={s} inverse", construct_from_inverse(field, s, rng.choice(admissible))
 
 
-def _rhs_lines(label: str, rhs: RhsForm, large: bool) -> list[str]:
+def _rhs_lines(label: str, rhs: RhsForm, large: bool, tabled: bool) -> list[str]:
     head = f"{label} r={rhs.r} h={_poly(rhs.h)}"
     # a fresh form for check_permutation, so it walks even when the
     # involution report would answer it
@@ -117,7 +117,7 @@ def _rhs_lines(label: str, rhs: RhsForm, large: bool) -> list[str]:
         f"{head} permutation {perm.ok} {perm.gcd_ok} {_enc(perm.witness)}",
         f"{head} first_root {_enc(first_root(rhs))}",
     ]
-    if not large or rhs.field.log_table is not None or rhs.d <= 8:
+    if not large or tabled or rhs.d <= 8:
         data = subgroup_data(rhs)
         text = _enc(data) if isinstance(data, Element) else " ".join(_enc(t) for t in data)
         lines.append(f"{head} subgroup_data {text}")
@@ -133,12 +133,14 @@ def _sweep_line(label: str, f: SparsePoly) -> str:
 def lines(name: str) -> list[str]:
     """The corpus of one field, in a fixed order."""
     field = _field(name)
-    large = field.q > 64
+    # whether make_field built the tables: the first sweep builds them on
+    # the other fields up to DEFAULT_CAP, and the corpus must not follow that
+    large, tabled = field.q > 64, field.log_table is not None
     rng = random.Random(f"differential/{name}")
     out = []
     forms = list(_forms(field, rng, large))
     for label, rhs in forms:
-        out += _rhs_lines(label, rhs, large)
+        out += _rhs_lines(label, rhs, large, tabled)
     for s in divisors(field.q - 1):
         d = (field.q - 1) // s
         if d <= (LARGE_D if large else 64):
@@ -148,14 +150,14 @@ def lines(name: str) -> list[str]:
                        f"{_poly(interpolate_on_subgroup(field, values))}")
     if large:
         # one structured non-permutation x^e, gcd(e, q - 1) > 1, and the
-        # sparsest constructed involution: off the tables each sweep is a
-        # full value table, one pass over the field per term
+        # sparsest constructed involution; the sparse forms too on the
+        # fields made with tables, as the corpus was recorded
         e = next(e for e in range(2, field.q) if gcd(e, field.q - 1) > 1)
         out.append(_sweep_line("power", SparsePoly.from_pairs(field, [(e, field.one())])))
         label, rhs = min((item for item in forms if item[0].endswith("inverse")),
                          key=lambda item: len(item[1].h.terms))
         out.append(_sweep_line(label, rhs.expand()))
-        if field.log_table is not None:   # a sweep with tables mostly stops early
+        if tabled:
             out += [_sweep_line(label, rhs.expand()) for label, rhs in forms
                     if len(rhs.h.terms) <= 3]
     else:

@@ -30,7 +30,9 @@ from invopoly.gf import (
     parse_field,
     subfield_embedding,
 )
+from invopoly.oracle import sweep
 from invopoly.polyring import SparsePoly, parse_poly
+from conftest import table_free_fields
 
 # Deterministic modulus choice (lexicographically smallest monic irreducible)
 # and the smallest-encoding primitive element, frozen per field.
@@ -390,9 +392,10 @@ def _lane_groups(p, n, w):
 
 
 @pytest.fixture(scope="module")
-def lane_fields(table_free):
+def lane_fields():
     shapes = [(3, 5), (3, 8), (3, 11), (5, 7), (7, 6), (3, 14), (4099, 2)]
-    return [make_field(p, n) for p, n in shapes] + [f for f in table_free if f.n > 1 and f.p > 2]
+    return [make_field(p, n) for p, n in shapes] + [
+        f for f in table_free_fields() if f.n > 1 and f.p > 2]
 
 
 # terms per sum: w = bitlen(terms*(p-1)) takes reduce at 3^8 through 2, 3
@@ -489,10 +492,24 @@ def test_the_compact_lift_is_built_on_first_use_and_kept(p, n):
     assert (field.lifted(3)[0] is lift) == (p == 2)
 
 
-def test_the_compact_lift_is_the_kept_walk_above_the_table_limit():
-    field = make_field(65537)
-    assert field.alpha_powers() is not field._exp   # the walking call returns its list
-    assert field.lifted(1)[0] is field._exp is field.alpha_powers()
+def test_tables_above_the_table_limit_are_built_by_the_first_sweep():
+    # make_field builds nothing above TABLE_LIMIT; the first whole-field
+    # pass builds exp/log as arrays of 4 bytes per entry, which encoding
+    # sums read as they are, and from then on field arithmetic and
+    # discrete logs are lookups that agree with the table-free field
+    field, reference = make_field(65537), make_field(65537)
+    assert field._exp is field._log is field._words is None
+    assert not sweep(parse_poly(field, "30292*x^3")).is_involution
+    exp, log = field._exp, field.log_table
+    assert (exp.typecode, exp.itemsize, log.typecode, log.itemsize) == ("I", 4, "i", 4)
+    assert (len(exp), len(log)) == (field.q - 1, field.q)
+    assert field.lifted(1)[0] is exp is field.alpha_powers()
+    rng = random.Random(65537)
+    sample = [1, field.alpha.enc, field.q - 1] + [rng.randrange(1, field.q) for _ in range(40)]
+    for a, b in zip(sample, reversed(sample)):
+        assert field.mul(a, b) == a * b % field.q and field.pow(a, b) == pow(a, b, field.q)
+        assert field.discrete_log(field.element(a)) == reference.discrete_log(reference.element(a))
+    assert not field._dlog_tables and reference._log is None   # Pohlig-Hellman ran only there
     # below 2^14 powers a list stays faster, and no array is made
     small = make_field(2, 12)
     assert small.lifted(2)[0] is small._exp is small._words

@@ -15,6 +15,7 @@ from invopoly.errors import FieldTooLarge, NotAPermutation
 from invopoly.gf import make_field
 from invopoly.oracle import compositional_inverse, sweep
 from invopoly.polyring import SparsePoly, compose_reduce, interpolate_table, parse_poly
+from conftest import table_free_fields
 
 
 def test_cube_is_not_a_permutation_of_f7(f7):
@@ -67,12 +68,16 @@ def test_affine_involutions_of_f5(f5):
 
 
 def test_value_tables_stop_at_the_default_cap():
-    # 2^21 is past DEFAULT_CAP: the sweep is refused before any value is computed
-    f = parse_poly(make_field(2, 21), "x^2")
-    start = time.perf_counter()
-    with pytest.raises(FieldTooLarge, match="value table"):
-        sweep(f)
-    assert time.perf_counter() - start < 0.5
+    # 2^21 is past DEFAULT_CAP: every whole-field pass is refused before
+    # the first power of alpha is walked, and the field keeps no tables
+    field = make_field(2, 21)
+    f = parse_poly(field, "x^2")
+    for call in (lambda: sweep(f), f.value_table, f.log_values, field.alpha_powers):
+        start = time.perf_counter()
+        with pytest.raises(FieldTooLarge, match="value table"):
+            call()
+        assert time.perf_counter() - start < 0.5
+    assert field._exp is None and field.log_table is None
 
 
 def test_compositional_inverse_rejects_non_permutations(f7):
@@ -201,9 +206,9 @@ CHUNKED_SWEEP_FIELDS = [make_field(p, n) for p, n in
 
 @settings(max_examples=250, derandomize=True, deadline=None)
 @given(data=st.data())
-def test_sweep_report_matches_the_pointwise_reference(table_free, data):
+def test_sweep_report_matches_the_pointwise_reference(data):
     field = data.draw(st.one_of(st.sampled_from(CHUNKED_SWEEP_FIELDS),
-                                st.sampled_from(WHOLE_SWEEP_FIELDS + table_free)))
+                                st.sampled_from(WHOLE_SWEEP_FIELDS + table_free_fields())))
     f = data.draw(_sweep_polys(field, field.q + 5))
     assert _fields(sweep(f)) == _reference_report(f)
 
@@ -255,6 +260,22 @@ def test_a_cube_map_of_2_16_stops_within_a_thousand_points(monkeypatch):
     assert sum(points) < 1000
     a, b = report.witness
     assert a != b and a**3 == b**3
+
+
+@pytest.mark.parametrize("p, n, text", [(3, 11, "x^3 + a*x"), (5, 7, "a^3*x^7 + 2*x^2")])
+def test_a_non_permutation_above_the_table_limit_stops_within_its_prefix(monkeypatch, p, n,
+                                                                          text):
+    # the first sweep builds the tables of a field above TABLE_LIMIT and
+    # stops as on table-backed fields, within the encoding-order prefix:
+    # x^3 + a*x is 3-to-1 over 3^11 (-a is a square), and the two-term map
+    # of 5^7 repeats as a random map would
+    field = make_field(p, n)
+    f = parse_poly(field, text)
+    points = _counted_points(monkeypatch)
+    report = sweep(f)
+    assert not report.is_permutation
+    assert sum(points) < oracle._PREFIX_ROOTS * isqrt(field.q)
+    assert _fields(report) == _fields(oracle._check_table(field, f.value_table()))
 
 
 def _prefix_points(q: int) -> int:
