@@ -18,7 +18,8 @@ the first failing z.  The walk is the same on every field: g(z) and
 phi(z) are products through the field's mul and pow, table lookups where
 the field has log tables (q up to gf.TABLE_LIMIT, and above it once a
 whole-field pass built them; a walk never does).  Only h at one point
-differs: a lifted sum at log z (Field.lifted) with log tables, Horner's
+differs: with log tables the point-by-point lifted sum of
+SparsePoly.log_values at log z, the oracle's own routine, and Horner's
 rule with the kernel without.  h is evaluated lazily, as refusals fail
 within a few points, and at most once per point of mu_d for each form:
 memoised on the form by the encoding of z, it is shared by
@@ -181,28 +182,6 @@ def _decode(rhs: RhsForm | _Walk, i: int, log_h: int) -> tuple[int, ...]:
     return li, (log_h + ir - li) // d % rhs.s
 
 
-def _lifted_h(field: Field, h):
-    """z -> h(z) on a field with log tables: one lifted sum (Field.lifted)
-    of lift[log c + e * log z] (mod q - 1) over the terms c * x^e of h,
-    XOR in characteristic 2, reduced once otherwise."""
-    log, qm1 = field.log_table, field.q - 1
-    lift, _, reduce = field.lifted(len(h.terms))
-    pairs = [(log[c.enc], e) for e, c in h.terms.items()]
-    if field.p == 2:
-        def value(z: int) -> int:
-            lz, v = log[z], 0
-            for b, e in pairs:
-                v ^= lift[(b + e * lz) % qm1]
-            return v
-    else:
-        def value(z: int) -> int:
-            lz, v = log[z], 0
-            for b, e in pairs:
-                v += lift[(b + e * lz) % qm1]
-            return reduce(v)
-    return value
-
-
 def _horner_h(field: Field, h):
     """z -> h(z) with the field's kernel, by Horner's rule over the
     exponents e_1 > ... > e_m of h:
@@ -223,17 +202,19 @@ def _horner_h(field: Field, h):
 
 class _Walk:
     """mu_d on encodings, as the module docstring describes: h(z) by
-    _lifted_h with log tables, by _horner_h without, memoised by z.  A
-    caller that stops at its first failing z evaluates h no further."""
+    h.log_values().at(log z) with log tables, by _horner_h without,
+    memoised by z.  A caller that stops at its first failing z evaluates
+    h no further."""
 
     def __init__(self, field: Field, r: int, s: int, d: int, memo: dict, h):
         self.field, self.r, self.s, self.d = field, r, s, d
-        value = (_lifted_h if field.log_table is not None else _horner_h)(field, h)
+        log = field.log_table
+        value = _horner_h(field, h) if log is None else h.log_values().at
 
         def h_at(z: int) -> int:
             v = memo.get(z)
             if v is None:
-                v = memo[z] = value(z)
+                v = memo[z] = value(z if log is None else log[z])
             return v
         self.h_at = h_at
         self.omega = field.pow(field.alpha.enc, (field.q - 1) // d)

@@ -29,8 +29,9 @@ it; a linear map and a product's fold apply their chunk tables through
 the lane object's fold, one call where the reduce fits inline.
 Walks over the powers of the primitive element alpha (the element of
 smallest encoding whose order is q - 1) step by _times, the multiply by
-alpha.  That walk fills the exp/log tables, and mul and pow become
-lookups: for q up to TABLE_LIMIT when the field is made, as lists (3^8
+alpha.  That walk fills the exp/log tables, and pow, and mul in
+extensions, become lookups (a prime field keeps a * b % p, which is
+faster): for q up to TABLE_LIMIT when the field is made, as lists (3^8
 in about 3 ms, 2^16 in 15 ms, 3^10 in 30 ms; Python 3.11, shared 2-vCPU
 host); above it on the first whole-field pass (a value table or an oracle
 sweep, through alpha_powers), as arrays of 4 bytes per entry, and past
@@ -39,15 +40,15 @@ build them.  Until then pow, in extensions of degree n > 2, walks the
 base-p digits of the exponent: each conjugate a^(p^j) is one lookup in a
 Frobenius table built on the first power, and only nonzero digits cost a
 kernel mul (about 17 us per power at 2^20 and 20 us at 3^12, against 34
-and 36 us by square-and-multiply).  Value tables sum their terms in log
-order through lifted() and reduce each sum once; the same sums evaluate
-h on mu_d, one point at a time in the criterion's walk and all of mu_d
-at once in interpolation on mu_d.  From 2^14 powers up, sums that are
-encodings (characteristic 2, and single terms) read alpha's powers from
-an array of 4 bytes per power: the exp table itself above TABLE_LIMIT,
-below it a copy built on the first such sum, never by make_field:
-strided reads of a list of int objects are bound by memory there, while
-at 2^12 the list was faster.  Discrete logs (the k
+and 36 us by square-and-multiply).  SparsePoly.log_values sums terms
+in log order through lifted(), each sum reduced once: term by term over
+value tables, sweeps and interpolation on mu_d, point by point over calls
+of fewer points than terms and for h in the criterion's walk.  From 2^14
+powers up, sums that are encodings (characteristic 2, and single terms)
+read alpha's powers from an array of 4 bytes per power: the exp table
+itself above TABLE_LIMIT, below it a copy built on the first such sum,
+never by make_field: strided reads of a list of int objects are bound by
+memory there, while at 2^12 the list was faster.  Discrete logs (the k
 printed in 'a^k') go by Pohlig-Hellman over the prime factors of q - 1,
 found once per field, with one baby-step giant-step table of about
 sqrt(l) entries per prime l, built on first use and kept on the field;
@@ -62,7 +63,7 @@ import re
 from array import array
 from functools import partial
 from itertools import accumulate, repeat
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DivisionByZero,
@@ -658,10 +659,12 @@ class Field:
 
     def _use_tables(self) -> None:
         """Walk the powers of alpha once, through the chunk-table multiply
-        by alpha, to fill exp/log, then switch mul and pow to table lookups;
-        add stays the kernel's.  Above TABLE_LIMIT the tables are arrays of
-        4 bytes per entry, and past DEFAULT_CAP the walk is refused before
-        its first step: this is the bound of every whole-field pass."""
+        by alpha, to fill exp/log, then switch pow, and mul in extensions,
+        to table lookups; add stays the kernel's, and so does a prime
+        field's a * b % p (84 against 360 ns by lookups at 65521).  Above
+        TABLE_LIMIT the tables are arrays of 4 bytes per entry, and past
+        DEFAULT_CAP the walk is refused before its first step: this is the
+        bound of every whole-field pass."""
         q = self.q
         if q > DEFAULT_CAP:
             raise FieldTooLarge(f"value table over q = {q} exceeds {DEFAULT_CAP}")
@@ -677,7 +680,8 @@ class Field:
             cur = times_alpha(cur)
         self._exp, self._log = exp, log
 
-        self.mul = lambda a, b: exp[(log[a] + log[b]) % qm1] if a and b else 0
+        if self.n > 1:
+            self.mul = lambda a, b: exp[(log[a] + log[b]) % qm1] if a and b else 0
         self._pow = lambda a, e: exp[log[a] * e % qm1]
 
     # -- identity ------------------------------------------------------------
@@ -704,17 +708,19 @@ class Field:
     # -- element construction ------------------------------------------------
 
     def element(self, value: int | str | Sequence[int] | Element) -> Element:
-        """Coerce an encoding, text form or coefficient vector to an Element."""
+        """Coerce an encoding (through operator.index: True is 1, 3.0 a
+        TypeError), text form or coefficient vector to an Element."""
+        if isinstance(value, int) or not isinstance(value, (Element, str, Iterable)):
+            enc = operator.index(value)
+            if not 0 <= enc < self.q:
+                raise ParseError(f"encoding {enc} out of range for q={self.q}")
+            return Element(self, enc)
         if isinstance(value, Element):
             if value.field != self:
                 raise ValueError("element belongs to a different field")
             return value
         if isinstance(value, str):
             return self.parse_element(value)
-        if isinstance(value, int):
-            if not 0 <= value < self.q:
-                raise ParseError(f"encoding {value} out of range for q={self.q}")
-            return Element(self, value)
         coeffs = [int(c) % self.p for c in value]
         if len(coeffs) != self.n:
             raise ParseError(f"expected {self.n} coefficients, got {len(coeffs)}")

@@ -17,6 +17,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import index
 
 from . import gf
 from .errors import (
@@ -48,14 +49,10 @@ class SparsePoly:
     __slots__ = ("field", "terms")
 
     def __init__(self, field: Field, terms: dict[int, Element]):
+        if terms and min(terms) < 0:
+            raise ValueError(f"negative exponent {min(terms)}")
         self.field = field
-        clean: dict[int, Element] = {}
-        for e, c in terms.items():
-            if e < 0:
-                raise ValueError(f"negative exponent {e}")
-            if not c.is_zero:
-                clean[int(e)] = c
-        self.terms = clean
+        self.terms = {index(e): c for e, c in terms.items() if c.enc}   # no float exponents
 
     @classmethod
     def from_pairs(cls, field: Field, pairs) -> SparsePoly:
@@ -106,23 +103,36 @@ class SparsePoly:
     def log_values(self):
         """The evaluator ks -> encodings of f(alpha^k) for each k of ks, for
         consecutive logs as a range or any logs as a list.  c * x^e is
-        lift[log c + k*e] (mod q - 1) of Field.lifted, each term one pass of
-        integer + (XOR in characteristic 2) over ks, each sum reduced once;
-        the logs of the coefficients are taken once, here.  Over a range
-        the looked up logs are a range too; over a list (oracle.sweep's
-        prefix, the logs of x = 1, 2, ...) each term's pass computes them
-        in place.  Up to _VALUE_SPAN logs the values come as a list; past
-        that, on a field of more than _VALUE_SPAN elements, span by span
-        into one array('I'), so a whole-field pass holds at most a span of
-        sums as Python ints and its values at 4 bytes each."""
-        f, terms = self.field, self.terms
-        if not terms:
-            return lambda ks: [0] * len(ks)
-        lift, reduce_sums, _ = f.lifted(len(terms))
-        qm1, xor = f.q - 1, f.p == 2
-        steps = [(f.discrete_log(c), e) for e, c in terms.items()]
+        lift[log c + k*e] (mod q - 1) of Field.lifted, summed by + (XOR in
+        characteristic 2) and reduced once, with log c read here from the
+        tables lifted() built.  The evaluator's `at`, k -> f(alpha^k), is
+        the one point-by-point sum, which it maps over a call of fewer logs
+        than f has terms (a dense form in oracle.sweep's first chunks), as
+        the criterion's walk does over mu_d.  A longer call makes each term
+        one pass over ks: over a range its logs are a range too, over a
+        list (the sweep's prefix) they are computed in place.  Up to
+        _VALUE_SPAN logs the values come as a list; past that, on a field
+        of more than _VALUE_SPAN elements, span by span into one
+        array('I'), so a whole-field pass holds at most a span of sums as
+        Python ints and its values at 4 bytes each."""
+        f = self.field
+        lift, reduce_sums, reduce = f.lifted(len(self.terms))
+        qm1, xor, log = f.q - 1, f.p == 2, f.log_table
+        steps = [(log[c.enc], e) for e, c in self.terms.items()]
+
+        def at(k: int) -> int:
+            v = 0
+            if xor:
+                for lc, e in steps:
+                    v ^= lift[(lc + e * k) % qm1]
+                return v
+            for lc, e in steps:
+                v += lift[(lc + e * k) % qm1]
+            return reduce(v)
 
         def values(ks) -> list[int]:
+            if len(ks) < len(steps) or not steps:   # short, or f = 0: point by point
+                return list(map(at, ks))
             consecutive, sums = isinstance(ks, range), None
             for lc, e in steps:
                 if consecutive:
@@ -141,6 +151,7 @@ class SparsePoly:
                 else:
                     sums = [s + lift[(lc + e * k) % qm1] for s, k in zip(sums, ks)]
             return reduce_sums(sums)
+        values.at = at
         if qm1 <= _VALUE_SPAN:   # a smaller field's whole pass fits in one span
             return values
 
@@ -151,6 +162,7 @@ class SparsePoly:
             for lo in range(0, len(ks), _VALUE_SPAN):
                 out.fromlist(values(ks[lo:lo + _VALUE_SPAN]))
             return out
+        in_spans.at = at
         return in_spans
 
     def value_table(self) -> list[int]:

@@ -474,8 +474,10 @@ def test_tables_match_a_kernel_walk(p, n):
     for k, x in enumerate(exp):
         log[x] = k
     assert field._log == log
-    # the add of a table-backed field is the digit-wise sum, 1 + alpha^k
+    # the add of a table-backed field is the digit-wise sum, 1 + alpha^k;
+    # mul is a lookup in extensions and a prime field's a * b % p
     assert [field.add(1, x) for x in exp] == [_digit_add(p, 1, x) for x in exp]
+    assert field.mul.__qualname__.split(".")[0] == ("_prime_kernel" if n == 1 else "Field")
 
 
 @pytest.mark.parametrize("p, n", [(2, 16), (3, 10), (7, 5)])
@@ -506,6 +508,8 @@ def test_tables_above_the_table_limit_are_built_by_the_first_sweep():
     assert field.lifted(1)[0] is exp is field.alpha_powers()
     rng = random.Random(65537)
     sample = [1, field.alpha.enc, field.q - 1] + [rng.randrange(1, field.q) for _ in range(40)]
+    # a prime field keeps the kernel's a * b % p, faster than two lookups
+    assert field.mul.__qualname__.startswith("_prime_kernel")
     for a, b in zip(sample, reversed(sample)):
         assert field.mul(a, b) == a * b % field.q and field.pow(a, b) == pow(a, b, field.q)
         assert field.discrete_log(field.element(a)) == reference.discrete_log(reference.element(a))
@@ -543,6 +547,19 @@ def test_element_str_and_parse(f64, f7, f25):
     for text in ("1,2,0", "1,", "1,x"):
         with pytest.raises(ParseError):
             f25.parse_element(text)
+
+
+def test_encodings_go_through_operator_index(f7, f25):
+    # True is the encoding 1, not an element that prints "True"; a float is
+    # refused as an encoding, not iterated as a coefficient vector
+    one = f7.element(True)
+    assert str(one) == "1" and type(one.enc) is int and one == f7.one()
+    assert f25.element(False) == f25.zero()
+    with pytest.raises(TypeError, match="integer"):
+        f7.element(3.0)
+    with pytest.raises(ParseError):
+        f7.element(7)
+    assert f25.element([1, 2]) == f25.element((1, 2)) == f25.element(11)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

@@ -67,6 +67,22 @@ def test_parse_and_str_round_trip(f7, f64):
         SparsePoly.from_pairs(f7, [(-2, f7.one())])
 
 
+def test_exponents_must_be_integers(f7):
+    # an exponent goes through operator.index: a float is refused, not
+    # truncated onto (or merged with) the integer below it
+    three, one = f7.element(3), f7.one()
+    with pytest.raises(TypeError):
+        SparsePoly(f7, {2.5: three})
+    with pytest.raises(TypeError):
+        SparsePoly.from_pairs(f7, [(2.9, three), (2, one)])
+    f = SparsePoly(f7, {True: three, 2: one})
+    assert f.terms == {1: three, 2: one} and all(type(e) is int for e in f.terms)
+    assert str(SparsePoly.from_pairs(f7, [(2, three), (2, one)])) == "4*x^2"
+    for terms in ({3: one, -1: three}, {-1: f7.zero()}):
+        with pytest.raises(ValueError):
+            SparsePoly(f7, terms)
+
+
 def _polys(field, max_exponent):
     return st.lists(st.tuples(st.integers(0, max_exponent), st.integers(0, field.q - 1)),
                     max_size=6).map(lambda pairs: SparsePoly.from_pairs(
@@ -119,18 +135,22 @@ def test_value_table_matches_pointwise_evaluation(f7, f9, f16, table_free):
 def test_log_values_over_a_range_reads_every_step():
     # the evaluator over range(start, stop, step) gives f(alpha^k) for each k
     # of the range, for steps s and -s alike (interpolation on mu_d walks the
-    # logs of omega^-k downwards)
+    # logs of omega^-k downwards), and over the same logs as a list; a dense
+    # form has more terms than a short call has logs, and sums point by point
     rng = random.Random(29)
     for field in SMALL_FIELDS:
         q = field.q
         for s in [t for t in range(1, q) if (q - 1) % t == 0]:
-            terms = [(rng.randrange(0, 2 * q), field.element(rng.randrange(q)))
-                     for _ in range(rng.randrange(1, 5))]
-            f = SparsePoly.from_pairs(field, terms)
-            values, start, count = f.log_values(), rng.randrange(-q, q), (q - 1) // s + 2
-            for step in (s, -s):
-                ks = range(start, start + step * count, step)
-                assert values(ks) == [f.evaluate(field.pow_alpha(k)).enc for k in ks]
+            for size in (rng.randrange(1, 5), rng.randrange(q, 3 * q)):
+                terms = [(rng.randrange(0, 2 * q), field.element(rng.randrange(q)))
+                         for _ in range(size)]
+                f = SparsePoly.from_pairs(field, terms)
+                values, start, count = f.log_values(), rng.randrange(-q, q), (q - 1) // s + 2
+                for step in (s, -s):
+                    ks = range(start, start + step * count, step)
+                    expected = [f.evaluate(field.pow_alpha(k)).enc for k in ks]
+                    assert values(ks) == values(list(ks)) == expected
+                    assert [values.at(k) for k in ks] == expected
 
 
 # table-backed fields of all three kernels: characteristic 2, prime, odd extension
@@ -173,6 +193,14 @@ def test_value_table_equals_evaluate_on_table_backed_fields(data):
     expected = {h: [h.evaluate(x).enc for x in field.elements()] for h in (f, g)}
     for h in (g, f, g):
         assert h.value_table() == expected[h]
+    # calls of fewer logs than f has terms, and of as many, point by point
+    # and term by term: ranges of either step sign and lists of any logs
+    values, q = f.log_values(), field.q
+    count = data.draw(st.integers(0, len(f.terms)))
+    start, step = data.draw(st.integers(-q, q)), data.draw(st.integers(-q, q).filter(bool))
+    ks = range(start, start + step * count, step)
+    for call in (ks, list(ks), data.draw(st.lists(st.integers(-q, 2 * q), max_size=count))):
+        assert values(call) == [f.evaluate(field.pow_alpha(k)).enc for k in call]
 
 
 LARGE_LIFT_FIELDS = [make_field(2, 16), make_field(3, 10)]
@@ -220,6 +248,27 @@ def test_log_values_past_a_span_match_evaluate(field, data):
     assert isinstance(table, list) and len(table) == q
     for x in rng.sample(range(q), 40) + [0, 1, q - 1]:
         assert table[x] == f.evaluate(field.element(x)).enc
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_short_calls_on_a_dense_form_past_a_span_match_evaluate(data):
+    # on a field of more than a span of elements, a form of more terms than
+    # a call has logs sums point by point; a longer call, on either side of
+    # the span, term by term
+    field = SPAN_FIELDS[3]
+    q = field.q
+    f = data.draw(_lift_polys(field, 20, 60))
+    values, t = f.log_values(), len(f.terms)
+    count = data.draw(st.sampled_from([0, 1, t - 1, t, t + 1, _VALUE_SPAN + 1]))
+    start, step = data.draw(st.integers(-q, q)), data.draw(st.integers(-q, q).filter(bool))
+    ks = range(start, start + step * count, step)
+    rng = random.Random(count)
+    for call in (ks, list(ks), rng.choices(range(-q, 2 * q), k=count)):
+        got = values(call)
+        assert len(got) == count
+        for i in rng.sample(range(count), min(count, 30)):
+            assert got[i] == values.at(call[i]) == f.evaluate(field.pow_alpha(call[i])).enc
 
 
 def test_evaluators_are_freed_without_the_cycle_collector(f9):
