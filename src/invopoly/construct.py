@@ -20,6 +20,8 @@ the paper's explicit coefficient formulas for d = 2 and d = 3.
 
 from __future__ import annotations
 
+from operator import index
+
 from .criterion import SubgroupInvolution, check_involution, confirm_involution, phi_map
 from .errors import (
     CharacteristicDividesD,
@@ -52,8 +54,9 @@ def partner_offset(s: int, r: int, n_i: int) -> int:
 def construct_general(field: Field, s: int, sigma: SubgroupInvolution,
                       r: int = 1, offsets=None) -> RhsForm:
     """Involution x^r * h(x^s) inducing sigma on mu_d; raises on any
-    inadmissible input and cross-checks its own output."""
-    q = field.q
+    inadmissible input (TypeError on a float s, r or offset) and
+    cross-checks its own output."""
+    q, s, r = field.q, index(s), index(r)
     if s < 1 or (q - 1) % s:
         raise NotADivisor(f"s = {s} does not divide q-1 = {q - 1}")
     d = (q - 1) // s
@@ -64,7 +67,7 @@ def construct_general(field: Field, s: int, sigma: SubgroupInvolution,
         raise RSquareCondition(f"r = {r}: r^2 - 1 not divisible by s = {s}")
     if offsets is None:
         offsets = (0,) * d
-    offsets = tuple(int(n) % s for n in offsets)
+    offsets = tuple(index(n) % s for n in offsets)
     if len(offsets) != d:
         raise PreconditionViolated(f"need {d} offsets, got {len(offsets)}")
     bad = [i for i in range(d) if (offsets[sigma(i)] + r * offsets[i]) % s]

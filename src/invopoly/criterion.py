@@ -17,14 +17,13 @@ z = omega^0, omega^1, ..., omega^{d-1} as a running product, stopping at
 the first failing z.  The walk is the same on every field: g(z) and
 phi(z) are products through the field's mul and pow, table lookups where
 the field has log tables (q up to gf.TABLE_LIMIT, and above it once a
-whole-field pass built them; a walk never does).  Only h at one point
-differs: with log tables the point-by-point lifted sum of
-SparsePoly.log_values at log z, the oracle's own routine, and Horner's
-rule with the kernel without.  h is evaluated lazily, as refusals fail
-within a few points, and at most once per point of mu_d for each form:
-memoised on the form by the encoding of z, it is shared by
-check_involution (which also needs h(g(z)), again a point of mu_d) and
-check_permutation, and the walk itself is built once per form.
+whole-field pass built them; a walk never does), and h at one point is
+SparsePoly.point_values, which alone picks the lifted sum of the
+oracle's evaluator or Horner's rule with the kernel.  h is evaluated
+lazily, as refusals fail within a few points, and at most once per point
+of mu_d for each form: memoised on the form by the encoding of z, it is
+shared by check_involution (which also needs h(g(z)), again a point of
+mu_d) and check_permutation, and the walk itself is built once per form.
 subgroup_data, and its readers induced_subgroup_involution and
 check_iff_subgroup, decode each L_i = log h(omega^i) into
 
@@ -43,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 from .errors import (
     FieldTooLarge,
@@ -84,12 +84,13 @@ class PermutationCheck:
 
 class SubgroupInvolution:
     """An involution on mu_d, stored as the index map i -> mapping[i]
-    relative to the powers omega^0 .. omega^{d-1} of a fixed generator."""
+    relative to the powers omega^0 .. omega^{d-1} of a fixed generator;
+    the entries go through operator.index, so 1.7 is a TypeError."""
 
     __slots__ = ("d", "mapping")
 
     def __init__(self, mapping):
-        mapping = tuple(int(i) for i in mapping)
+        mapping = tuple(map(index, mapping))
         d = len(mapping)
         if d < 1 or sorted(mapping) != list(range(d)):
             raise PreconditionViolated(f"{mapping} is not a permutation of 0..{d - 1}")
@@ -164,7 +165,7 @@ def _walk(rhs: RhsForm) -> _Walk:
     return walk
 
 
-def _point(rhs: RhsForm | _Walk, i: int) -> Element:
+def _point(rhs: RhsForm, i: int) -> Element:
     """omega^i = alpha^(s*i), the i-th point of the walk."""
     field = rhs.field
     return Element(field, field.pow(field.alpha.enc, rhs.s * i))
@@ -182,39 +183,19 @@ def _decode(rhs: RhsForm | _Walk, i: int, log_h: int) -> tuple[int, ...]:
     return li, (log_h + ir - li) // d % rhs.s
 
 
-def _horner_h(field: Field, h):
-    """z -> h(z) with the field's kernel, by Horner's rule over the
-    exponents e_1 > ... > e_m of h:
-    h(z) = ((c_1 z^{e_1-e_2} + c_2) z^{e_2-e_3} + ... + c_m) z^{e_m}."""
-    add, mul, pow_ = field.add, field.mul, field.pow
-    exps = sorted(h.terms, reverse=True) or [0]
-    steps = [(h.terms[e].enc, e - nxt) for e, nxt in zip(exps, exps[1:])]
-    last, low = h.coefficient(exps[-1]).enc, exps[-1]
-
-    def value(z: int) -> int:
-        v = 0
-        for c, gap in steps:
-            v = mul(add(v, c), z if gap == 1 else pow_(z, gap))
-        v = add(v, last)
-        return mul(v, pow_(z, low)) if low else v
-    return value
-
-
 class _Walk:
     """mu_d on encodings, as the module docstring describes: h(z) by
-    h.log_values().at(log z) with log tables, by _horner_h without,
-    memoised by z.  A caller that stops at its first failing z evaluates
-    h no further."""
+    h.point_values(), memoised by z.  A caller that stops at its first
+    failing z evaluates h no further."""
 
     def __init__(self, field: Field, r: int, s: int, d: int, memo: dict, h):
         self.field, self.r, self.s, self.d = field, r, s, d
-        log = field.log_table
-        value = _horner_h(field, h) if log is None else h.log_values().at
+        value = h.point_values()
 
         def h_at(z: int) -> int:
             v = memo.get(z)
             if v is None:
-                v = memo[z] = value(z if log is None else log[z])
+                v = memo[z] = value(z)
             return v
         self.h_at = h_at
         self.omega = field.pow(field.alpha.enc, (field.q - 1) // d)
@@ -223,9 +204,13 @@ class _Walk:
         """z = omega^0, ..., omega^{d-1} as encodings, one at a time."""
         return self.field.powers(self.omega, self.d)
 
-    def data(self, i: int) -> tuple[int, ...]:
-        hz = self.h_at(self.field.pow(self.omega, i))
-        return _decode(self, i, self.field.discrete_log(Element(self.field, hz)) if hz else -1)
+    def decoded(self):
+        """(z, _decode at z) for z = omega^i, i = 0, 1, ..., one at a time;
+        log h(z) is a discrete log."""
+        field, h_at = self.field, self.h_at
+        for i, z in enumerate(self.points()):
+            hz = h_at(z)
+            yield z, _decode(self, i, field.discrete_log(Element(field, hz)) if hz else -1)
 
     def first_root(self) -> Element | None:
         h_at = self.h_at
@@ -277,12 +262,10 @@ def subgroup_data(rhs: RhsForm) -> tuple[tuple[int, ...], tuple[int, ...]] | Ele
     l(i))/d mod s for L_i = log h(omega^i).  The first root of h on mu_d,
     as an Element, when there is one.  Without log tables each L_i is a
     discrete log."""
-    data = _walk(rhs).data
     pairs = []
-    for i in range(rhs.d):
-        a = data(i)
+    for z, a in _walk(rhs).decoded():
         if not a:
-            return _point(rhs, i)
+            return Element(rhs.field, z)
         pairs.append(a)
     l, offsets = zip(*pairs)
     return l, offsets
@@ -358,11 +341,9 @@ def check_iff_subgroup(rhs: RhsForm) -> bool:
         raise HypothesisViolated(f"r^2 = 1 mod s fails for r = {r}, s = {s}")
     if gcd(s, d) != 1:
         raise HypothesisViolated(f"gcd(s, d) = {gcd(s, d)} must be 1")
-    data = _walk(rhs).data
-    for i in range(d):
+    for i, (z, a) in enumerate(_walk(rhs).decoded()):
         # h(omega^i) = alpha^(d*n_i + l(i) - i*r) lies in mu_d iff s divides that
-        a = data(i)
         if not a or (d * a[1] + a[0] - i * r) % s:
-            z = _point(rhs, i)
+            z = Element(rhs.field, z)
             raise HypothesisViolated(f"h({z}) = {rhs.h.evaluate(z)} is outside mu_{d}", witness=z)
     return check_involution(rhs).verdict

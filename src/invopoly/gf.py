@@ -42,8 +42,10 @@ Frobenius table built on the first power, and only nonzero digits cost a
 kernel mul (about 17 us per power at 2^20 and 20 us at 3^12, against 34
 and 36 us by square-and-multiply).  SparsePoly.log_values sums terms
 in log order through lifted(), each sum reduced once: term by term over
-value tables, sweeps and interpolation on mu_d, point by point over calls
-of fewer points than terms and for h in the criterion's walk.  From 2^14
+value tables and sweeps, point by point over calls of fewer points than
+terms.  SparsePoly.point_values, h on mu_d for the criterion's walk and
+interpolation, makes the same point-by-point sum where the tables
+stand and Horner's rule with the kernel where they do not.  From 2^14
 powers up, sums that are encodings (characteristic 2, and single terms)
 read alpha's powers from an array of 4 bytes per power: the exp table
 itself above TABLE_LIMIT, below it a copy built on the first such sum,

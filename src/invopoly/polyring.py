@@ -100,28 +100,18 @@ class SparsePoly:
         return SparsePoly.from_pairs(
             self.field, ((reduce_exponent(e, q), c) for e, c in self.terms.items()))
 
-    def log_values(self):
-        """The evaluator ks -> encodings of f(alpha^k) for each k of ks, for
-        consecutive logs as a range or any logs as a list.  c * x^e is
-        lift[log c + k*e] (mod q - 1) of Field.lifted, summed by + (XOR in
-        characteristic 2) and reduced once, with log c read here from the
-        tables lifted() built.  The evaluator's `at`, k -> f(alpha^k), is
-        the one point-by-point sum, which it maps over a call of fewer logs
-        than f has terms (a dense form in oracle.sweep's first chunks), as
-        the criterion's walk does over mu_d.  A longer call makes each term
-        one pass over ks: over a range its logs are a range too, over a
-        list (the sweep's prefix) they are computed in place.  Up to
-        _VALUE_SPAN logs the values come as a list; past that, on a field
-        of more than _VALUE_SPAN elements, span by span into one
-        array('I'), so a whole-field pass holds at most a span of sums as
-        Python ints and its values at 4 bytes each."""
+    def _lifted_terms(self):
+        """(steps, lift, reduce_sums, at) of Field.lifted: steps pairs log c
+        with e for each term c * x^e, and at, z -> f(z) for nonzero z, is the
+        one point-by-point sum, of lift[log c + e*log z] (mod q - 1) by +
+        (XOR in characteristic 2), reduced once."""
         f = self.field
         lift, reduce_sums, reduce = f.lifted(len(self.terms))
         qm1, xor, log = f.q - 1, f.p == 2, f.log_table
         steps = [(log[c.enc], e) for e, c in self.terms.items()]
 
-        def at(k: int) -> int:
-            v = 0
+        def at(z: int) -> int:
+            k, v = log[z], 0
             if xor:
                 for lc, e in steps:
                     v ^= lift[(lc + e * k) % qm1]
@@ -129,10 +119,47 @@ class SparsePoly:
             for lc, e in steps:
                 v += lift[(lc + e * k) % qm1]
             return reduce(v)
+        return steps, lift, reduce_sums, at
+
+    def point_values(self):
+        """z -> f(z) on nonzero encodings, building no tables: the lifted sum
+        of _lifted_terms where the field has log tables, otherwise Horner's
+        rule with the kernel over f's exponents e_1 > ... > e_m,
+        ((c_1 z^{e_1-e_2} + c_2) z^{e_2-e_3} + ... + c_m) z^{e_m}."""
+        f = self.field
+        if f.log_table is not None:
+            return self._lifted_terms()[-1]
+        add, mul, pow_ = f.add, f.mul, f.pow
+        exps = sorted(self.terms, reverse=True) or [0]
+        steps = [(self.terms[e].enc, e - nxt) for e, nxt in zip(exps, exps[1:])]
+        last, low = self.coefficient(exps[-1]).enc, exps[-1]
+
+        def horner(z: int) -> int:
+            v = 0
+            for c, gap in steps:
+                v = mul(add(v, c), z if gap == 1 else pow_(z, gap))
+            v = add(v, last)
+            return mul(v, pow_(z, low)) if low else v
+        return horner
+
+    def log_values(self):
+        """The evaluator ks -> encodings of f(alpha^k) for each k of ks, for
+        consecutive logs as a range or any logs as a list.  A call of fewer
+        logs than f has terms (a dense form in oracle.sweep's first chunks)
+        maps _lifted_terms' point-by-point sum over alpha^k; a longer one
+        makes each term one pass over ks, whose logs are a range over a
+        range and computed in place over a list (the sweep's prefix).  Up
+        to _VALUE_SPAN logs the values come as a list; past that, on a
+        field of more than _VALUE_SPAN elements, span by span into one
+        array('I'), so a whole-field pass holds at most a span of sums as
+        Python ints and its values at 4 bytes each."""
+        f = self.field
+        steps, lift, reduce_sums, at = self._lifted_terms()
+        qm1, xor, exp = f.q - 1, f.p == 2, f.alpha_powers()
 
         def values(ks) -> list[int]:
             if len(ks) < len(steps) or not steps:   # short, or f = 0: point by point
-                return list(map(at, ks))
+                return [at(exp[k % qm1]) for k in ks]
             consecutive, sums = isinstance(ks, range), None
             for lc, e in steps:
                 if consecutive:
@@ -151,7 +178,6 @@ class SparsePoly:
                 else:
                     sums = [s + lift[(lc + e * k) % qm1] for s, k in zip(sums, ks)]
             return reduce_sums(sums)
-        values.at = at
         if qm1 <= _VALUE_SPAN:   # a smaller field's whole pass fits in one span
             return values
 
@@ -162,7 +188,6 @@ class SparsePoly:
             for lo in range(0, len(ks), _VALUE_SPAN):
                 out.fromlist(values(ks[lo:lo + _VALUE_SPAN]))
             return out
-        in_spans.at = at
         return in_spans
 
     def value_table(self) -> list[int]:
@@ -310,10 +335,9 @@ def bound_full_interpolation(q: int) -> None:
 def interpolate_on_subgroup(field: Field, values: list[Element]) -> SparsePoly:
     """The unique h of degree < d with h(omega^i) = values[i] on the d-th
     roots of unity, via the inverse discrete Fourier transform
-    h_k = sum_i (values[i] / d) * omega^{-ik}.  With log tables that is
-    V(omega^-k) / d for V = sum_i values[i] * y^i, all d of them one
-    log_values call over the logs 0, -s, ..., -(d-1)*s of omega^-k (s =
-    (q - 1)/d); without them the kernel adds and multiplies encodings."""
+    h_k = sum_i (values[i] / d) * omega^{-ik} = V(omega^{d-k}) / d for
+    V = sum_i values[i] * y^i, on every field V.point_values() at omega^0,
+    ..., omega^{d-1} as a running product."""
     d = len(values)
     if d < 1 or (field.q - 1) % d:
         raise NotADivisor(f"{d} does not divide q-1 = {field.q - 1}")
@@ -321,23 +345,11 @@ def interpolate_on_subgroup(field: Field, values: list[Element]) -> SparsePoly:
     if any(v.field != field for v in values):
         raise ValueError("elements belong to different fields")
     dinv, mul = field.pow(d % field.p, -1), field.mul
-    if field.log_table is not None:
-        s = (field.q - 1) // d
-        V = SparsePoly._wrap(field, {i: v for i, v in enumerate(values) if v.enc})
-        coeffs = V.log_values()(range(0, -s * d, -s))
-        return SparsePoly._wrap(
-            field, {k: Element(field, mul(c, dinv)) for k, c in enumerate(coeffs) if c})
-    terms = [(mul(v.enc, dinv), i) for i, v in enumerate(values) if v.enc]
-    add = field.add
-    step = field.pow(field.alpha.enc, -((field.q - 1) // d))   # omega^{-1}
-    inv_powers = list(field.powers(step, d))
-    coeffs = {}
-    for k in range(d):
-        acc = 0
-        for c, i in terms:
-            acc = add(acc, mul(c, inv_powers[i * k % d]))
-        coeffs[k] = Element(field, acc)
-    return SparsePoly(field, coeffs)
+    V = SparsePoly._wrap(field, {i: v for i, v in enumerate(values) if v.enc})
+    omega = field.pow(field.alpha.enc, (field.q - 1) // d)
+    at = list(map(V.point_values(), field.powers(omega, d)))   # at[-k] = V(omega^(d-k))
+    return SparsePoly._wrap(
+        field, {k: Element(field, mul(at[-k], dinv)) for k in range(d) if at[-k]})
 
 
 def interpolate_table(field: Field, table: list[int]) -> SparsePoly:

@@ -119,6 +119,17 @@ def test_general_rejects_bad_offsets(f7, f13):
         construct_general(f13, 6, SubgroupInvolution.identity(2), 2, [0, 0])
 
 
+def test_general_refuses_non_integer_s_r_and_offsets(f7):
+    # a float is refused, not truncated or failed on deep inside
+    inversion = SubgroupInvolution.inversion(3)
+    for call in (lambda: construct_general(f7, 2.0, inversion),
+                 lambda: construct_general(f7, 2, inversion, 1.0),
+                 lambda: construct_general(f7, 2, inversion, 1, [0, 0.5, 1.5])):
+        with pytest.raises(TypeError):
+            call()
+    assert construct_general(f7, 2, inversion, True, [0, False, 0]).r == 1
+
+
 def test_d2_counts_and_soundness(f5, f7, f9, f11, f13):
     frozen = {5: 6, 7: 16, 9: 28, 11: 36, 13: 52}
     for field in (f5, f7, f9, f11, f13):

@@ -150,6 +150,9 @@ def test_subgroup_involution_validation():
         SubgroupInvolution([1, 2, 0])  # 3-cycle
     with pytest.raises(PreconditionViolated):
         SubgroupInvolution([0, 0, 1])  # not a permutation
+    with pytest.raises(TypeError):
+        SubgroupInvolution([0, 1.7])   # not truncated to [0, 1]
+    assert SubgroupInvolution([True, False]) == SubgroupInvolution([1, 0])
 
 
 def test_maps_reject_elements_outside_subgroup(f7):
@@ -352,6 +355,27 @@ def test_one_walk_built_per_form_for_both_checks(table_free, monkeypatch):
     assert involutions
     # the sweeps last: the first over a table-free field builds its tables
     assert all(ok == sweep(rhs.expand()).is_permutation for rhs, ok in decided)
+
+
+def test_the_criterion_decides_without_the_log_values_evaluator(monkeypatch):
+    # the walk and subgroup interpolation read h through point_values alone:
+    # on a table-backed field neither builds the whole-field evaluator
+    def refuse(self):
+        raise AssertionError("log_values called")
+    monkeypatch.setattr(SparsePoly, "log_values", refuse)
+    rng = random.Random(53)
+    for field in SMALL_FIELDS[-3:]:
+        assert field.log_table is not None
+        for _ in range(6):
+            rhs = _random_rhs(field, rng)
+            check_involution(rhs)
+            check_permutation(rhs)
+            decoded = subgroup_data(rhs)
+            if not isinstance(decoded, Element):
+                l, offsets = decoded
+                d, r = rhs.d, rhs.r
+                values = [field.pow_alpha(d * offsets[i] + l[i] - i * r) for i in range(d)]
+                assert interpolate_on_subgroup(field, values) == rhs.h
 
 
 def test_a_decided_form_is_freed_without_the_cycle_collector(table_free):

@@ -134,9 +134,9 @@ def test_value_table_matches_pointwise_evaluation(f7, f9, f16, table_free):
 
 def test_log_values_over_a_range_reads_every_step():
     # the evaluator over range(start, stop, step) gives f(alpha^k) for each k
-    # of the range, for steps s and -s alike (interpolation on mu_d walks the
-    # logs of omega^-k downwards), and over the same logs as a list; a dense
-    # form has more terms than a short call has logs, and sums point by point
+    # of the range, for steps s and -s alike, and over the same logs as a
+    # list; a dense form has more terms than a short call has logs, and sums
+    # point by point, as point_values does at alpha^k
     rng = random.Random(29)
     for field in SMALL_FIELDS:
         q = field.q
@@ -146,11 +146,12 @@ def test_log_values_over_a_range_reads_every_step():
                          for _ in range(size)]
                 f = SparsePoly.from_pairs(field, terms)
                 values, start, count = f.log_values(), rng.randrange(-q, q), (q - 1) // s + 2
+                at = f.point_values()
                 for step in (s, -s):
                     ks = range(start, start + step * count, step)
                     expected = [f.evaluate(field.pow_alpha(k)).enc for k in ks]
                     assert values(ks) == values(list(ks)) == expected
-                    assert [values.at(k) for k in ks] == expected
+                    assert [at(field.pow_alpha(k).enc) for k in ks] == expected
 
 
 # table-backed fields of all three kernels: characteristic 2, prime, odd extension
@@ -259,7 +260,7 @@ def test_short_calls_on_a_dense_form_past_a_span_match_evaluate(data):
     field = SPAN_FIELDS[3]
     q = field.q
     f = data.draw(_lift_polys(field, 20, 60))
-    values, t = f.log_values(), len(f.terms)
+    values, at, t = f.log_values(), f.point_values(), len(f.terms)
     count = data.draw(st.sampled_from([0, 1, t - 1, t, t + 1, _VALUE_SPAN + 1]))
     start, step = data.draw(st.integers(-q, q)), data.draw(st.integers(-q, q).filter(bool))
     ks = range(start, start + step * count, step)
@@ -268,12 +269,14 @@ def test_short_calls_on_a_dense_form_past_a_span_match_evaluate(data):
         got = values(call)
         assert len(got) == count
         for i in rng.sample(range(count), min(count, 30)):
-            assert got[i] == values.at(call[i]) == f.evaluate(field.pow_alpha(call[i])).enc
+            z = field.pow_alpha(call[i])
+            assert got[i] == at(z.enc) == f.evaluate(z).enc
 
 
 def test_evaluators_are_freed_without_the_cycle_collector(f9):
-    # every sweep makes an evaluator: one that referred to itself would stay
-    # alive, with its tables, until a collection
+    # every sweep makes an evaluator, and every walk keeps one on its form's
+    # memo: one that referred to itself would stay alive, with its tables,
+    # until a collection
     for field in (f9, SPAN_FIELDS[1]):
         f = SparsePoly.from_pairs(field, [(7, field.alpha), (2, field.one())])
         gc.collect()
@@ -281,6 +284,7 @@ def test_evaluators_are_freed_without_the_cycle_collector(f9):
         try:
             for _ in range(20):
                 f.log_values()(range(3))
+                f.point_values()(field.alpha.enc)
             assert gc.collect() == 0
         finally:
             gc.enable()

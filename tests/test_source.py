@@ -57,3 +57,14 @@ def test_no_private_names_from_other_modules(path):
         for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
         for alias in node.names if alias.name.startswith("_"))
     assert not private, f"{path.name}: imports private names {private}"
+
+
+@pytest.mark.parametrize("name", ["criterion.py", "construct.py", "families.py", "cli.py"])
+def test_log_tables_are_not_read_above_polyring(name):
+    # whether h is summed through the log tables or by Horner's rule is
+    # decided in polyring (SparsePoly.point_values); the modules above it
+    # read h through that evaluator and never the tables themselves
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    reads = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "log_table")
+    assert not reads, f"{name} reads log_table at lines {reads}"
