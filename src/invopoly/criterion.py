@@ -19,11 +19,16 @@ phi(z) are products through the field's mul and pow, table lookups where
 the field has log tables (q up to gf.TABLE_LIMIT, and above it once a
 whole-field pass built them; a walk never does), and h at one point is
 SparsePoly.point_values, which alone picks the lifted sum of the
-oracle's evaluator or Horner's rule with the kernel.  h is evaluated
-lazily, as refusals fail within a few points, and at most once per point
-of mu_d for each form: memoised on the form by the encoding of z, it is
-shared by check_involution (which also needs h(g(z)), again a point of
-mu_d) and check_permutation, and the walk itself is built once per form.
+oracle's evaluator or Horner's rule with the kernel.  check_involution
+and check_permutation evaluate h lazily, as refusals fail within a few
+points, and at most once per point of mu_d for each form: memoised on the
+form by the encoding of z, it is shared by check_involution (which also
+needs h(g(z)), again a point of mu_d) and check_permutation, and the walk
+itself is built once per form.  confirm_involution, which constructors
+call on a form they promise is an involution and so walks all of mu_d,
+fills that memo first from one forward transform of h's coefficients
+(SparsePoly.subgroup_values) where polyring.subgroup_split says it
+splits; the walk then reads the memo.
 subgroup_data, and its readers induced_subgroup_involution and
 check_iff_subgroup, decode each L_i = log h(omega^i) into
 
@@ -32,9 +37,11 @@ check_iff_subgroup, decode each L_i = log h(omega^i) into
 the index map and offsets from which construct_general interpolates h,
 with g(omega^i) = omega^l(i).  The form also keeps its involution
 report, so a constructor's decision is read back, not made again, and a
-true one answers check_permutation too.  A decision costs at most d
-evaluations of h, never q, and a walk over d > polyring.DEFAULT_CAP
-points is refused with FieldTooLarge before it starts.  g_map and
+true one answers check_permutation too.  A decision reads h at most at
+the d points of mu_d, never at q: lazily at most d point sums of h's
+t terms, and in a confirmation one transform of about d * (d1 + t/d1)
+steps for d = d1 * d2.  A walk over d > polyring.DEFAULT_CAP points is
+refused with FieldTooLarge before it starts.  g_map and
 phi_map are the same maps on single Elements, for callers and tests.
 """
 
@@ -54,7 +61,7 @@ from .errors import (
     RSquareCondition,
 )
 from .gf import Element, Field
-from .polyring import DEFAULT_CAP, RhsForm
+from .polyring import DEFAULT_CAP, RhsForm, subgroup_split
 
 
 @dataclass(frozen=True)
@@ -185,8 +192,9 @@ def _decode(rhs: RhsForm | _Walk, i: int, log_h: int) -> tuple[int, ...]:
 
 class _Walk:
     """mu_d on encodings, as the module docstring describes: h(z) by
-    h.point_values(), memoised by z.  A caller that stops at its first
-    failing z evaluates h no further."""
+    h.point_values(), memoised by z, unless a confirmation filled the memo
+    by one transform.  A caller that stops at its first failing z
+    evaluates h no further."""
 
     def __init__(self, field: Field, r: int, s: int, d: int, memo: dict, h):
         self.field, self.r, self.s, self.d = field, r, s, d
@@ -283,19 +291,31 @@ def check_involution(rhs: RhsForm) -> CriterionReport:
     return memo["report"]
 
 
-def _decide_involution(rhs: RhsForm) -> CriterionReport:
+def _decide_involution(rhs: RhsForm, dense: bool = False) -> CriterionReport:
     r, s = rhs.r, rhs.s
     gcd_ok = gcd(r, s) == 1
     if (r * r - 1) % s:
         return CriterionReport(False, gcd_ok, True, None, False)
-    failing = _walk(rhs).first_phi_failure()
+    walk = _walk(rhs)
+    if dense and subgroup_split(walk.d, len(rhs.h.terms)) > 1:
+        memo = rhs._memo["h"]   # filled by one forward transform, unless walked
+        if len(memo) < walk.d:
+            memo.update(zip(walk.points(), rhs.h.subgroup_values(walk.d)))
+    failing = walk.first_phi_failure()
     return CriterionReport(True, gcd_ok, failing is None, failing, failing is None)
 
 
 def confirm_involution(rhs: RhsForm, message: str) -> RhsForm:
     """rhs, once the criterion confirms the involution a construction
-    promised; InternalMismatch(message) if it does not."""
-    if not check_involution(rhs).verdict:
+    promised; InternalMismatch(message) if it does not.  A promised
+    involution walks all of mu_d, so h's memo is filled first from one
+    forward transform of h's coefficients (SparsePoly.subgroup_values,
+    which cross-checks the values a constructor interpolated); the walk
+    then decides, with its witness, as check_involution does."""
+    memo = rhs._memo
+    if memo["report"] is None:
+        memo["report"] = _decide_involution(rhs, dense=True)
+    if not memo["report"].verdict:
         raise InternalMismatch(message)
     return rhs
 

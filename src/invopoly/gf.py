@@ -43,11 +43,13 @@ kernel mul (about 17 us per power at 2^20 and 20 us at 3^12, against 34
 and 36 us by square-and-multiply).  SparsePoly.log_values sums terms
 in log order through lifted(), each sum reduced once: term by term over
 value tables and sweeps, point by point over calls of fewer points than
-terms.  SparsePoly.point_values, h on mu_d for the criterion's walk and
-interpolation, makes the same point-by-point sum where the tables
-stand and Horner's rule with the kernel where they do not.  From 2^14
-powers up, sums that are encodings (characteristic 2, and single terms)
-read alpha's powers from an array of 4 bytes per power: the exp table
+terms.  SparsePoly.point_values and SparsePoly.subgroup_values, h on
+mu_d for the criterion's walk, its confirmations and interpolation, make
+the same point-by-point sum where the tables stand (reading the exp
+table as it is, lifted(compact=False)) and Horner's rule with the kernel
+where they do not.  From 2^14 powers up, whole-field sums that are
+encodings (characteristic 2, and single terms) read alpha's powers from
+an array of 4 bytes per power: the exp table
 itself above TABLE_LIMIT, below it a copy built on the first such sum,
 never by make_field: strided reads of a list of int objects are bound by
 memory there, while at 2^12 the list was faster.  Discrete logs (the k
@@ -775,17 +777,21 @@ class Field:
             self._use_tables()
         return self._exp
 
-    def lifted(self, terms: int):
+    def lifted(self, terms: int, compact: bool = True):
         """(lift, reduce_sums, reduce) to sum `terms` terms in log order:
         lift[k] is alpha^k (alpha_powers) as an integer that adds with no
         carry, by + (XOR in characteristic 2): its encoding, or in odd
         extensions its _lanes of w = bitlen(terms*(p-1)) bits, kept (rebuilt
         wider on demand).  Encodings from 2^14 powers up come from an
-        array('I'): the exp table where it is one, otherwise a copy kept
-        from the first call that needs it; lanes from a 64-bit array where
-        they fit.  reduce_sums brings a list of sums back, reduce one."""
+        array('I') for whole-field passes: the exp table where it is one,
+        otherwise a copy kept from the first call that needs it; compact =
+        False, for sums over a few points (mu_d), reads the exp table as it
+        is and builds no copy.  Lanes come from a 64-bit array where they
+        fit.  reduce_sums brings a list of sums back, reduce one."""
         exp, p, n = self.alpha_powers(), self.p, self.n
         if p == 2 or terms < 2:   # XOR sums, and single terms, are encodings
+            if not compact:
+                return exp, _unchanged, _unchanged
             if self._words is None:   # a list reads faster below 2^14 powers, not above
                 self._words = (exp if len(exp) >> 14 == 0 or isinstance(exp, array)
                                else array("I", exp))

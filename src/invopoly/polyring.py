@@ -8,6 +8,14 @@ the constant term stays a constant term and x^0 = 1 everywhere).
 RhsForm captures f = x^r * h(x^s) with s a divisor of q - 1 and h reduced
 modulo x^d - 1 for d = (q - 1) / s.  decompose() extracts the shape from a
 plain polynomial, expand() goes back.
+
+On mu_d = <omega>, omega = alpha^((q-1)/d), this module alone decides
+between log tables and the field kernel: point_values() is h at one
+point (the criterion's lazy walk), subgroup_values(d) h at all d points,
+the forward discrete Fourier transform that interpolate_on_subgroup reads
+backwards.  The transform splits d = d1 * d2 (Cooley and Tukey, Math.
+Comp. 19, 1965; Pollard, Math. Comp. 25, 1971), and every sum in it is
+point_values' point sum.
 """
 
 from __future__ import annotations
@@ -16,8 +24,8 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
-from operator import index
+from math import gcd, isqrt
+from operator import index, itemgetter
 
 from . import gf
 from .errors import (
@@ -33,6 +41,7 @@ from .gf import Element, Field
 COMPOSE_LIMIT = 1 << 11       # full-field interpolation is quadratic in q
 DEFAULT_CAP = gf.DEFAULT_CAP  # read here by criterion, families and cli
 _VALUE_SPAN = 1 << 14         # logs log_values sums at a time, which bounds its peak memory
+_SUM_TERMS = 20               # one point sum's own cost, in terms it sums (measured)
 
 
 def reduce_exponent(e: int, q: int) -> int:
@@ -41,6 +50,90 @@ def reduce_exponent(e: int, q: int) -> int:
     if e == 0:
         return 0
     return (e - 1) % (q - 1) + 1
+
+
+def _lifted_at(field: Field, steps, lifted):
+    """z -> f(z) for nonzero encodings z, the one point-by-point lifted sum:
+    of lift[log c + e*log z] (mod q - 1) over steps (log c, e), by + (XOR
+    in characteristic 2), reduced once; lifted is what Field.lifted gave."""
+    lift, _, reduce = lifted
+    qm1, xor, log = field.q - 1, field.p == 2, field.log_table
+
+    def at(z: int) -> int:
+        k, v = log[z], 0
+        if xor:
+            for lc, e in steps:
+                v ^= lift[(lc + e * k) % qm1]
+            return v
+        for lc, e in steps:
+            v += lift[(lc + e * k) % qm1]
+        return reduce(v)
+    return at
+
+
+def _point_sum(field: Field, pairs):
+    """z -> sum of c * z^e over (c, e) pairs of nonzero encodings c and
+    distinct exponents e, for nonzero encodings z, building no tables: the
+    lifted sum of _lifted_at where the field has log tables (over the exp
+    table as it is, no compact copy), otherwise Horner's rule with the
+    kernel over e_1 > ... > e_m,
+    ((c_1 z^{e_1-e_2} + c_2) z^{e_2-e_3} + ... + c_m) z^{e_m}."""
+    log = field.log_table
+    if log is not None:
+        steps = [(log[c], e) for c, e in pairs]
+        return _lifted_at(field, steps, field.lifted(len(steps), compact=False))
+    add, mul, pow_ = field.add, field.mul, field.pow
+    pairs = sorted(pairs, key=itemgetter(1), reverse=True) or [(0, 0)]
+    steps = [(c, e - nxt) for (c, e), (_, nxt) in zip(pairs, pairs[1:])]
+    last, low = pairs[-1]
+
+    def horner(z: int) -> int:
+        v = 0
+        for c, gap in steps:
+            v = mul(add(v, c), z if gap == 1 else pow_(z, gap))
+        v = add(v, last)
+        return mul(v, pow_(z, low)) if low else v
+    return horner
+
+
+def subgroup_split(d: int, terms: int) -> int:
+    """The factor d1 of d at which SparsePoly.subgroup_values splits its
+    transform of a `terms`-term polynomial on mu_d (the largest divisor
+    d1 <= sqrt(d)), or 1 where it sums point by point: a split costs about
+    d1 + terms/d1 per point plus one more point sum (_SUM_TERMS), against
+    `terms`.  Prime d, short d and sparse polynomials stay point by point."""
+    if terms <= _SUM_TERMS:   # no split is cheaper: skip the divisor search
+        return 1
+    d1 = next(k for k in range(isqrt(d), 0, -1) if d % k == 0)
+    return d1 if terms - terms // d1 > d1 + _SUM_TERMS else 1
+
+
+def _subgroup_points(field: Field, d: int) -> list[int]:
+    """omega^0, ..., omega^(d-1) for omega = alpha^((q-1)/d), the points
+    of mu_d in the criterion's walk order."""
+    return list(field.powers(field.pow(field.alpha.enc, (field.q - 1) // d), d))
+
+
+def _subgroup_sums(field: Field, pairs, points: list[int]) -> list[int]:
+    """The sums of c * z^e over the (c, e) pairs (every e < d) at the points
+    omega^0, ..., omega^(d-1) of mu_d.  Split at d1 (subgroup_split), the
+    d1 runs of exponents e = j (mod d1), polynomials in x^d1, are
+    transformed on mu_d2 = points[::d1], and output i is the d1-term sum
+    over j of run j's value at i mod d2 times (omega^i)^j.  Every sum,
+    direct or combining, is _point_sum."""
+    d = len(points)
+    d1 = subgroup_split(d, len(pairs))
+    if d1 == 1:
+        return list(map(_point_sum(field, pairs), points))
+    d2, runs, sub = d // d1, [[] for _ in range(d1)], points[::d1]
+    for c, e in pairs:
+        runs[e % d1].append((c, e // d1))
+    cols = [(j, _subgroup_sums(field, run, sub)) for j, run in enumerate(runs) if run]
+    out = [0] * d
+    for i in range(d2):
+        at = _point_sum(field, [(col[i], j) for j, col in cols if col[i]])
+        out[i::d2] = map(at, points[i::d2])
+    return out
 
 
 class SparsePoly:
@@ -100,53 +193,34 @@ class SparsePoly:
         return SparsePoly.from_pairs(
             self.field, ((reduce_exponent(e, q), c) for e, c in self.terms.items()))
 
-    def _lifted_terms(self):
-        """(steps, lift, reduce_sums, at) of Field.lifted: steps pairs log c
-        with e for each term c * x^e, and at, z -> f(z) for nonzero z, is the
-        one point-by-point sum, of lift[log c + e*log z] (mod q - 1) by +
-        (XOR in characteristic 2), reduced once."""
-        f = self.field
-        lift, reduce_sums, reduce = f.lifted(len(self.terms))
-        qm1, xor, log = f.q - 1, f.p == 2, f.log_table
-        steps = [(log[c.enc], e) for e, c in self.terms.items()]
-
-        def at(z: int) -> int:
-            k, v = log[z], 0
-            if xor:
-                for lc, e in steps:
-                    v ^= lift[(lc + e * k) % qm1]
-                return v
-            for lc, e in steps:
-                v += lift[(lc + e * k) % qm1]
-            return reduce(v)
-        return steps, lift, reduce_sums, at
-
     def point_values(self):
-        """z -> f(z) on nonzero encodings, building no tables: the lifted sum
-        of _lifted_terms where the field has log tables, otherwise Horner's
-        rule with the kernel over f's exponents e_1 > ... > e_m,
-        ((c_1 z^{e_1-e_2} + c_2) z^{e_2-e_3} + ... + c_m) z^{e_m}."""
-        f = self.field
-        if f.log_table is not None:
-            return self._lifted_terms()[-1]
-        add, mul, pow_ = f.add, f.mul, f.pow
-        exps = sorted(self.terms, reverse=True) or [0]
-        steps = [(self.terms[e].enc, e - nxt) for e, nxt in zip(exps, exps[1:])]
-        last, low = self.coefficient(exps[-1]).enc, exps[-1]
+        """z -> f(z) on nonzero encodings, building no tables: _point_sum
+        over f's terms (with log tables, the steps of _lifted_at straight
+        from f's terms, one pass fewer)."""
+        f, terms = self.field, self.terms
+        log = f.log_table
+        if log is None:
+            return _point_sum(f, [(c.enc, e) for e, c in terms.items()])
+        steps = [(log[c.enc], e) for e, c in terms.items()]
+        return _lifted_at(f, steps, f.lifted(len(steps), compact=False))
 
-        def horner(z: int) -> int:
-            v = 0
-            for c, gap in steps:
-                v = mul(add(v, c), z if gap == 1 else pow_(z, gap))
-            v = add(v, last)
-            return mul(v, pow_(z, low)) if low else v
-        return horner
+    def subgroup_values(self, d: int) -> list[int]:
+        """Encodings of f(omega^0), ..., f(omega^(d-1)) for omega =
+        alpha^((q-1)/d), the forward transform of f on mu_d (exponents
+        taken mod d), by _subgroup_sums; NotADivisor unless d | q - 1."""
+        field = self.field
+        if d < 1 or (field.q - 1) % d:
+            raise NotADivisor(f"{d} does not divide q-1 = {field.q - 1}")
+        f = self if self.degree() < d else SparsePoly.from_pairs(
+            field, ((e % d, c) for e, c in self.terms.items()))
+        return _subgroup_sums(field, [(c.enc, e) for e, c in f.terms.items()],
+                              _subgroup_points(field, d))
 
     def log_values(self):
         """The evaluator ks -> encodings of f(alpha^k) for each k of ks, for
         consecutive logs as a range or any logs as a list.  A call of fewer
         logs than f has terms (a dense form in oracle.sweep's first chunks)
-        maps _lifted_terms' point-by-point sum over alpha^k; a longer one
+        maps _lifted_at's point-by-point sum over alpha^k; a longer one
         makes each term one pass over ks, whose logs are a range over a
         range and computed in place over a list (the sweep's prefix).  Up
         to _VALUE_SPAN logs the values come as a list; past that, on a
@@ -154,8 +228,11 @@ class SparsePoly:
         array('I'), so a whole-field pass holds at most a span of sums as
         Python ints and its values at 4 bytes each."""
         f = self.field
-        steps, lift, reduce_sums, at = self._lifted_terms()
-        qm1, xor, exp = f.q - 1, f.p == 2, f.alpha_powers()
+        exp = f.alpha_powers()   # first: above TABLE_LIMIT it builds the log table
+        qm1, xor, log = f.q - 1, f.p == 2, f.log_table
+        steps = [(log[c.enc], e) for e, c in self.terms.items()]
+        lift, reduce_sums, _ = lifted = f.lifted(len(steps))
+        at = _lifted_at(f, steps, lifted)
 
         def values(ks) -> list[int]:
             if len(ks) < len(steps) or not steps:   # short, or f = 0: point by point
@@ -319,8 +396,9 @@ def decompose(f: SparsePoly, s: int | None = None) -> RhsForm:
 
 
 def bound_subgroup_interpolation(d: int) -> None:
-    """Refuse interpolation on more than COMPOSE_LIMIT roots of unity; the
-    transform is quadratic in d."""
+    """Refuse interpolation on more than COMPOSE_LIMIT roots of unity.  The
+    bound dates from a transform quadratic in d; the split one costs about
+    d * (d1 + d/d1) for d = d1 * d2 (d^2 still at prime d)."""
     if d > COMPOSE_LIMIT:
         raise FieldTooLarge(f"subgroup interpolation over d = {d} exceeds {COMPOSE_LIMIT}")
 
@@ -334,10 +412,10 @@ def bound_full_interpolation(q: int) -> None:
 
 def interpolate_on_subgroup(field: Field, values: list[Element]) -> SparsePoly:
     """The unique h of degree < d with h(omega^i) = values[i] on the d-th
-    roots of unity, via the inverse discrete Fourier transform
+    roots of unity, by the inverse discrete Fourier transform
     h_k = sum_i (values[i] / d) * omega^{-ik} = V(omega^{d-k}) / d for
-    V = sum_i values[i] * y^i, on every field V.point_values() at omega^0,
-    ..., omega^{d-1} as a running product."""
+    V = sum_i values[i] * y^i: the forward transform of V on mu_d (as
+    V.subgroup_values(d) makes it) read backwards."""
     d = len(values)
     if d < 1 or (field.q - 1) % d:
         raise NotADivisor(f"{d} does not divide q-1 = {field.q - 1}")
@@ -345,9 +423,8 @@ def interpolate_on_subgroup(field: Field, values: list[Element]) -> SparsePoly:
     if any(v.field != field for v in values):
         raise ValueError("elements belong to different fields")
     dinv, mul = field.pow(d % field.p, -1), field.mul
-    V = SparsePoly._wrap(field, {i: v for i, v in enumerate(values) if v.enc})
-    omega = field.pow(field.alpha.enc, (field.q - 1) // d)
-    at = list(map(V.point_values(), field.powers(omega, d)))   # at[-k] = V(omega^(d-k))
+    pairs = [(v.enc, i) for i, v in enumerate(values) if v.enc]   # V's terms
+    at = _subgroup_sums(field, pairs, _subgroup_points(field, d))   # at[-k] = V(omega^(d-k))
     return SparsePoly._wrap(
         field, {k: Element(field, mul(at[-k], dinv)) for k in range(d) if at[-k]})
 

@@ -79,6 +79,22 @@ def test_general_construction_above_table_limit_leaves_the_walk_unbuilt(p, n, d)
     assert field._exp is None
 
 
+def test_constructions_on_mu_d_leave_the_compact_lift_unbuilt():
+    # interpolation, the transform and the walk read d points of mu_d from
+    # the exp list as it is: the 2^16-entry array('I') that whole-field
+    # passes keep (Field._words) is not built for them, at d = 3 nor at the
+    # split d = 85
+    field = make_field(2, 16)
+    assert field._words is None
+    f = construct_cor_r1(field, 5)
+    rhs = construct_general(field, 771, SubgroupInvolution.inversion(85), 1)
+    assert check_involution(rhs).verdict and check_permutation(rhs).ok
+    assert str(f) and str(rhs.expand())
+    assert field._words is None
+    assert _is_involution(f)   # the oracle's whole-field pass builds it
+    assert field._words is not None
+
+
 def test_general_recovers_sigma_randomly(f13, f16):
     rng = random.Random(77)
     for field in (f13, f16):

@@ -22,6 +22,7 @@ from invopoly.criterion import (
     SubgroupInvolution,
     check_involution,
     check_permutation,
+    confirm_involution,
     g_map,
     induced_subgroup_involution,
     phi_map,
@@ -29,6 +30,7 @@ from invopoly.criterion import (
 )
 from invopoly.errors import (
     FieldTooLarge,
+    InternalMismatch,
     NotInSubgroup,
     NotInvolutionOnSubgroup,
     PreconditionViolated,
@@ -376,6 +378,75 @@ def test_the_criterion_decides_without_the_log_values_evaluator(monkeypatch):
                 d, r = rhs.d, rhs.r
                 values = [field.pow_alpha(d * offsets[i] + l[i] - i * r) for i in range(d)]
                 assert interpolate_on_subgroup(field, values) == rhs.h
+
+
+def _constructed(field, d, rng, r=None):
+    """construct_general over mu_d with a random involution of the indices,
+    random admissible offsets and, unless given, a random admissible r."""
+    s = (field.q - 1) // d
+    r = rng.choice(involutory_exponents(s)) if r is None else r
+    order = rng.sample(range(d), d)
+    mapping = list(range(d))
+    for a, b in zip(order[::2], order[1::2]):
+        if rng.random() < 0.6:
+            mapping[a], mapping[b] = b, a
+    offsets = [None] * d
+    for i in order:
+        if mapping[i] == i:
+            offsets[i] = rng.choice(fixed_point_choices(s, r))
+        elif offsets[i] is None:
+            offsets[i] = rng.randrange(s)
+            offsets[mapping[i]] = partner_offset(s, r, offsets[i])
+    return construct_general(field, s, SubgroupInvolution(mapping), r, offsets)
+
+
+def _confirm_cells(table_free):
+    """(field, d, split): composite d where a confirmation fills h's memo by
+    one split transform (tables, table-free, and 2^24 above TABLE_LIMIT),
+    and prime or short d, where the walk sums h point by point itself."""
+    two6, three4, thirteen = table_free
+    return [(make_field(2, 8), 85, True), (make_field(3, 4), 80, True),
+            (make_field(2, 6), 63, True), (two6, 63, True), (three4, 80, True),
+            (make_field(2, 24), 35, True),
+            (make_field(2, 8), 17, False), (thirteen, 4, False), (make_field(3, 8), 41, False)]
+
+
+def test_a_confirmation_fills_the_memo_a_lazy_walk_would(table_free, monkeypatch):
+    # confirm_involution fills h's memo from h's coefficients by the
+    # transform where it splits, and the walk then reads it: memo, report
+    # and verdict are those a lazy walk of the same form leaves
+    transforms = []
+    subgroup_values = SparsePoly.subgroup_values
+    monkeypatch.setattr(SparsePoly, "subgroup_values",
+                        lambda h, d: transforms.append(d) or subgroup_values(h, d))
+    rng = random.Random(59)
+    for field, d, split in _confirm_cells(table_free):
+        transforms.clear()
+        rhs = _constructed(field, d, rng, r=1 if field.q > 1 << 16 else None)
+        assert transforms == ([d] if split else [])
+        lazy = RhsForm(field, rhs.r, rhs.s, rhs.h)
+        assert check_involution(lazy).verdict
+        assert len(rhs._memo["h"]) == d and rhs._memo["h"] == lazy._memo["h"]
+        assert rhs._memo["report"] == lazy._memo["report"]
+
+
+def test_a_confirmation_refuses_a_changed_coefficient(table_free):
+    # the transform starts from h's coefficients, not from the values the
+    # constructor interpolated: one coefficient changed is refused with the
+    # lazy walk's witness, read from values the lazy walk agrees with
+    rng = random.Random(61)
+    for field, d, _ in _confirm_cells(table_free):
+        rhs = _constructed(field, d, rng, r=1 if field.q > 1 << 16 else None)
+        k = rng.randrange(d)
+        delta = field.element(rng.randrange(1, field.q))
+        h = SparsePoly.from_pairs(field, [*((e, c) for e, c in rhs.h.terms.items()), (k, delta)])
+        changed = RhsForm(field, rhs.r, rhs.s, h)
+        with pytest.raises(InternalMismatch):
+            confirm_involution(changed, "changed coefficient")
+        lazy = RhsForm(field, rhs.r, rhs.s, h)
+        report = check_involution(lazy)
+        assert not report.verdict and changed._memo["report"] == report
+        assert lazy._memo["h"].items() <= changed._memo["h"].items()
 
 
 def test_a_decided_form_is_freed_without_the_cycle_collector(table_free):

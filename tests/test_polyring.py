@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invopoly import gf
+from invopoly import gf, polyring
 from invopoly.errors import (
     FieldTooLarge,
     HasConstantTerm,
@@ -31,6 +31,7 @@ from invopoly.polyring import (
     interpolate_table,
     parse_poly,
     reduce_exponent,
+    subgroup_split,
 )
 from conftest import table_free_fields
 from test_criterion import SMALL_FIELDS
@@ -415,6 +416,79 @@ def test_interpolate_on_subgroup_round_trips(data):
     for twin in [f for f in ROUND_TRIP_FIELDS + table_free if f == field and f is not field]:
         other = interpolate_on_subgroup(twin, [twin.element(v) for v in encs])
         assert {k: c.enc for k, c in other.terms.items()} == {k: c.enc for k, c in h.terms.items()}
+
+
+# table-backed fields where the transform's lengths divide q - 1 (17 and 85
+# in 2^8, 27 and 81 in 163, 16 and 41 in 3^8), table_free_fields (built
+# afresh in each example) and 2^24 above TABLE_LIMIT, whose sums are the
+# kernel's (17, 35 and 85); q - 1 itself on fields up to 2^8
+TRANSFORM_FIELDS = ROUND_TRIP_FIELDS + [make_field(2, 8), make_field(163), make_field(3, 8)]
+ABOVE_TABLE_LIMIT = make_field(2, 24)
+TRANSFORM_LENGTHS = (1, 17, 41, 16, 27, 81, 35, 85)
+TRANSFORM_CASES = [
+    (kind, i, d)
+    for kind, fields in (("tables", TRANSFORM_FIELDS), ("table-free", table_free_fields()),
+                         ("above-limit", [ABOVE_TABLE_LIMIT]))
+    for i, field in enumerate(fields)
+    for d in sorted({t for t in TRANSFORM_LENGTHS if (field.q - 1) % t == 0}
+                    | ({field.q - 1} if field.q <= 256 else set()))]
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["every-term", "one-to-three-terms"])
+@pytest.mark.parametrize("kind, i, d", TRANSFORM_CASES,
+                         ids=[f"{kind}-{i}-d{d}" for kind, i, d in TRANSFORM_CASES])
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_subgroup_values_match_the_direct_sum(kind, i, d, dense, data):
+    # the transform on mu_d, split or not, gives point_values at omega^i for
+    # every i, for h with every term below d and for h of one to three terms
+    # anywhere (folded mod d); interpolating its output gives h back
+    field = {"tables": TRANSFORM_FIELDS, "table-free": table_free_fields(),
+             "above-limit": [ABOVE_TABLE_LIMIT]}[kind][i]
+    q = field.q
+    exps = list(range(d)) if dense else data.draw(
+        st.lists(st.integers(0, 3 * d), min_size=1, max_size=3, unique=True))
+    coeffs = data.draw(st.lists(st.integers(1, q - 1), min_size=len(exps), max_size=len(exps)))
+    h = SparsePoly.from_pairs(field, [(e, field.element(c)) for e, c in zip(exps, coeffs)])
+    _, mu = field.subgroup(d)
+    at = h.point_values()
+    values = h.subgroup_values(d)
+    assert values == [at(z.enc) for z in mu]
+    if d < 100:
+        assert values == [h.evaluate(z).enc for z in mu]
+    folded = SparsePoly.from_pairs(field, ((e % d, c) for e, c in h.terms.items()))
+    assert interpolate_on_subgroup(field, [field.element(v) for v in values]) == folded
+    # neither direction builds tables where the field has none
+    assert (field.log_table is None) == (kind != "tables")
+
+
+def test_subgroup_values_refuse_a_length_off_q_minus_1(f7):
+    with pytest.raises(NotADivisor):
+        parse_poly(f7, "x^2 + 1").subgroup_values(4)
+    with pytest.raises(NotADivisor):
+        parse_poly(f7, "x^2 + 1").subgroup_values(0)
+
+
+def test_a_sparse_h_over_a_composite_d_sums_point_by_point(f256, monkeypatch):
+    # the split pays only where h has more terms than its per-point cost:
+    # a one-term h over d = 85 = 5 * 17 takes d point sums, as a walk would,
+    # and a dense one d + 17 (17 per run, then one combining sum per point)
+    sums = []
+
+    def counting(*args):
+        at = lifted_at(*args)
+        return lambda z: sums.append(z) or at(z)
+    lifted_at = polyring._lifted_at
+    monkeypatch.setattr(polyring, "_lifted_at", counting)
+    assert subgroup_split(85, 1) == 1 and subgroup_split(85, 85) == 5
+    assert subgroup_split(17, 17) == subgroup_split(83, 83) == 1   # prime d
+    one = SparsePoly(f256, {7: f256.alpha})
+    one.subgroup_values(85)
+    assert len(sums) == 85
+    sums.clear()
+    dense = SparsePoly.from_pairs(f256, [(e, f256.pow_alpha(e)) for e in range(85)])
+    dense.subgroup_values(85)
+    assert len(sums) == 85 + 5 * 17
 
 
 def test_interpolate_table_reproduces_any_map(f7, f16):
