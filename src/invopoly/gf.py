@@ -919,9 +919,7 @@ class Field:
             enc = int(t)
         except ValueError:
             raise ParseError(f"bad element literal {text!r}") from None
-        if not 0 <= enc < self.q:
-            raise ParseError(f"encoding {enc} out of range for q={self.q}")
-        return Element(self, enc)
+        return self.element(enc)
 
 
 def make_field(p: int, n: int = 1, modulus: Sequence[int] | None = None) -> Field:

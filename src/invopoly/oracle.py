@@ -1,12 +1,12 @@
 """Exhaustive ground truth for permutation and involution claims.
 
 Everything here evaluates f point by point over F_q and never consults
-the subgroup-level machinery, so it can referee it.  On fields of more
-than 16 elements, sweep evaluates in encoding order and stops at the
-first value that repeats, which is the witness itself; a map that gets
-through that prefix is evaluated whole in log order, and a permutation
-that is not an involution is decided from those values without a table
-in encoding order.  Smaller fields are checked as a full value table.
+the subgroup-level machinery, so it can referee it.  On every field,
+sweep evaluates in encoding order and stops at the first value that
+repeats, which is the witness itself; a map that gets through that
+prefix is evaluated whole in log order, and a permutation that is not an
+involution is decided from those values without a table in encoding
+order.  compositional_inverse checks a full value table.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .polyring import SparsePoly, bound_full_interpolation, interpolate_table
 
 _FIRST_CHUNK = 8      # points in a sweep's first chunk; each later chunk doubles the points done
 _PREFIX_ROOTS = 4     # a sweep's encoding-order prefix: 4*sqrt(q) points, at most q/2
-_FULL_TABLE_Q = 16    # fields up to this size are swept as one full table, which is faster there
 
 
 @dataclass(frozen=True)
@@ -132,8 +131,8 @@ def sweep(f: SparsePoly) -> PermReport:
     """Evaluate f at as many points as it takes, and report permutation /
     involution status.
 
-    Above _FULL_TABLE_Q the sweep starts with a prefix in encoding order,
-    x = 0, 1, ...: each chunk (_FIRST_CHUNK points, then chunks that double
+    On every field the sweep starts with a prefix in encoding order, x =
+    0, 1, ...: each chunk (_FIRST_CHUNK points, then chunks that double
     the points done) is one call of the SparsePoly.log_values evaluator on
     the logs of its points, read from the field's log table (built by the
     first sweep above TABLE_LIMIT, refused past DEFAULT_CAP:
@@ -146,13 +145,9 @@ def sweep(f: SparsePoly) -> PermReport:
     at most q/2.  A map that gets through it is most likely a
     permutation: the evaluator runs once more over the whole field, in
     log order, and _check_table decides from those values, gathering
-    them into encoding order only for an involution or a non-permutation.
-    Smaller fields are checked as one full value table."""
-    field = f.field
-    if field.q <= _FULL_TABLE_Q:
-        return _check_table(field, f.value_table())
-    field.alpha_powers()   # builds the log table above TABLE_LIMIT
-    q, log, values = field.q, field.log_table, f.log_values()
+    them into encoding order only for an involution or a non-permutation."""
+    field, values = f.field, f.log_values()   # first: above TABLE_LIMIT it builds the log table
+    q, log = field.q, field.log_table
     by_enc = [f.coefficient(0).enc]
     seen = bytearray(q)
     seen[by_enc[0]] = 1

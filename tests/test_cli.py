@@ -75,6 +75,11 @@ def test_verify_exit_codes():
     rc, out, _ = run("verify", "--field", "7", "--poly", "x + 1")
     assert rc == 1
     assert "criterion" not in out
+    # with the oracle off, the criterion alone finds a non-permutation
+    rc, out, _ = run("verify", "--field", "2^12", "--poly", "x^3", "--cap", "0")
+    assert rc == 2
+    assert "permutation: false" in out.splitlines()
+    assert "oracle" not in out and "witness" not in out and "fixed_points" not in out
 
 
 def test_construct_general_and_wrappers():
@@ -141,6 +146,46 @@ def test_family_exit_codes():
     rc, out, _ = run("family", "thm-reversal", "--field", "5^2",
                      "--params", "r=3,d=2,a0=7,a1=1")
     assert rc == 0
+
+
+@pytest.mark.parametrize("family, field, params, error", [
+    ("cor-qb", "2^4", "i=1,b=1", "PreconditionViolated: q-odd: even characteristic"),
+    ("cor-qb", "5^2", "i=1,b=0", "PreconditionViolated: b-nonzero"),
+    ("thm-palindromic", "2^5", "q=4,d=3,r=62,h0=1",
+     "PreconditionViolated: base-field-shape: degree 5 not a multiple of 2"),
+    ("thm-palindromic", "2^6", "q=4,d=2,r=62,h0=1",
+     "PreconditionViolated: d-divides-gcd: gcd(3, 3) vs d = 2"),
+    ("thm-palindromic", "2^6", "q=4,d=3,r=61,h0=1",
+     "PreconditionViolated: r-is-minus-one-mod-s: r = 61, s = 21"),
+    ("thm-palindromic", "2^6", "q=4,d=3,r=62,h5=1",
+     "PreconditionViolated: positions-in-range: d = 3"),
+    ("thm-reversal", "2^3", "r=1,d=0,a0=1",
+     "PreconditionViolated: field-is-quadratic-extension: GF(2^3) is not a quadratic extension"),
+    ("thm-reversal", "5^2", "r=2,d=2,a5=1",
+     "PreconditionViolated: r-is-minus-one-mod-q-minus-1: r = 2; degree-matches-r: deg = 2 vs "
+     "r-1 = 1 mod 6; positions-in-range: deg = 2"),
+    ("thm-reversal", "5^2", "r=3,d=2,a0=1,a2=2",
+     "PreconditionViolated: conjugate-mirror-consistent: position 2 assigned twice"),
+    ("thm-geometric", "3^4", "q=6,d=4,m=4,k=2",
+     "PreconditionViolated: base-field-shape: 6 is not a power of the characteristic 3"),
+    ("thm-geometric", "3^4", "q=3,d=4,m=3,k=2",
+     "PreconditionViolated: base-field-shape: need field order 3^3 with m even, field is 3^4"),
+    ("lift", "3^6", "q=8,m=3,r=90,h=x",
+     "WrongFieldShape: field 3^6/1,0,0,0,1,1,1 is not a degree-3 extension of F_8"),
+    ("lift", "3^6", "q=9,m=2,r=90,h=x",
+     "WrongFieldShape: field 3^6/1,0,0,0,1,1,1 is not a degree-2 extension of F_9"),
+    ("lift", "2^4", "q=4,m=2,r=0,h=x", "PreconditionViolated: r = 0 must be positive"),
+    ("cor-exm", "5^2", "a=a^1",
+     "PreconditionViolated: a = a^1 fails the residue-class test for q = 5"),
+], ids=["cor-qb-even", "cor-qb-zero-b", "palindromic-degree", "palindromic-d", "palindromic-r",
+        "palindromic-positions", "reversal-not-quadratic", "reversal-r-degree-range",
+        "reversal-mirror", "geometric-base-order", "geometric-shape", "lift-base-order",
+        "lift-shape", "lift-r-0", "cor-exm-residue-class"])
+def test_family_refusals_name_the_failed_hypothesis(family, field, params, error, capsys):
+    # each family's refusals past its validator, one line on stderr, exit 3
+    assert cli.main(["family", family, "--field", field, "--params", params]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {error}\n"
 
 
 def test_search_small_fields():
@@ -236,6 +281,13 @@ def test_input_error_exit_codes():
                            option, value)
         assert rc == 4 and out == ""
         assert f"ParseError: {message} comma-separated integers, got" in err
+    rc, out, err = run("construct", "general", "--field", "7")
+    assert rc == 4 and out == ""
+    assert err == "error: ParseError: construct general needs --s\n"
+    rc, out, err = run("construct", "general", "--field", "7", "--s", "2", "--sigma", "bogus")
+    assert rc == 4 and out == ""
+    assert err == ("error: ParseError: bad --sigma 'bogus': "
+                   "use inverse, identity or perm:i0,i1,...\n")
 
 
 @pytest.mark.parametrize("field, poly", [("7", "x + 1"), ("2", "a*x^3 + x^2")])
@@ -281,6 +333,9 @@ def test_precondition_exit_codes():
                      "--params", "q=9,m=3,r=2,h=x")
     assert rc == 3
     assert "RSquareCondition" in err
+    rc, out, err = run("search", "--field", "7", "--s", "5")
+    assert rc == 3 and out == ""
+    assert err == "error: NotADivisor: s = 5 does not divide 6\n"
 
 
 

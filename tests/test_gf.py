@@ -452,6 +452,23 @@ def test_lane_linear_maps_match_the_kernel(lane_fields, data):
     assert [frob(a) for a in sample] == [pow_(a, p) if a else 0 for a in sample]
 
 
+@pytest.mark.parametrize("p, n", [(101, 4), (17, 7)])
+def test_lanes_of_four_or_more_chunk_tables(p, n):
+    # p from 67 to 211 at n = 4, and 17^7, spread digits through four chunk
+    # tables or more: the kernel add, and the Frobenius table under pow
+    field = make_field(p, n)
+    q, rng = field.q, random.Random(p * 100 + n)
+    assert len(range(0, n, -(-n // gf._chunk_count(p, n)))) >= 4
+    loop = gf._kernel(p, n, field.modulus)[1]
+    for _ in range(300):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert field.add(a, b) == _digit_add(p, a, b), (a, b)
+        assert field.mul(a, b) == loop(a, b) == _schoolbook_mul(field, a, b), (a, b)
+        if a:
+            e = rng.randrange(q - 1)
+            assert field.pow(a, e) == _square_and_multiply(field.mul, a, e), (a, e)
+
+
 def test_first_add_past_the_lookup_bound_is_cheap():
     # p > 2^11: lanes wider than a lookup table, reduced by % p
     for p in (4099, 46337):
@@ -537,6 +554,9 @@ def test_element_str_and_parse(f64, f7, f25):
     for text in ("a^13", "0", "a^0"):
         assert str(f64.parse_element(text)) == text
     assert f7.parse_element("6").enc == 6
+    for text in ("7", "-1"):
+        with pytest.raises(ParseError, match=f"^encoding {text} out of range for q=7$"):
+            f7.parse_element(text)
     with pytest.raises(ParseError):
         f64.parse_element("b^2")
     with pytest.raises(ParseError):

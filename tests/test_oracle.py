@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+import itertools
 import random
 import time
 from math import gcd, isqrt
@@ -196,19 +198,20 @@ def _sweep_polys(draw, field, max_terms):
     return SparsePoly.from_pairs(field, [(e, field.element(c)) for e, c in pairs])
 
 
-# table-backed fields of every kernel, swept whole (q <= 16) or in chunks
-WHOLE_SWEEP_FIELDS = [make_field(p, n) for p, n in [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2),
+# table-backed fields of every kernel, those of at most 16 elements drawn
+# apart so that the draws keep reaching them
+SMALL_SWEEP_FIELDS = [make_field(p, n) for p, n in [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2),
                                                     (2, 4)]]
-CHUNKED_SWEEP_FIELDS = [make_field(p, n) for p, n in
-                        [(5, 2), (3, 3), (2, 6), (3, 4), (11, 2), (2, 7), (5, 3),
-                         (13, 2), (3, 5), (251, 1), (2, 8)]]
+LARGER_SWEEP_FIELDS = [make_field(p, n) for p, n in
+                       [(5, 2), (3, 3), (2, 6), (3, 4), (11, 2), (2, 7), (5, 3),
+                        (13, 2), (3, 5), (251, 1), (2, 8)]]
 
 
 @settings(max_examples=250, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_sweep_report_matches_the_pointwise_reference(data):
-    field = data.draw(st.one_of(st.sampled_from(CHUNKED_SWEEP_FIELDS),
-                                st.sampled_from(WHOLE_SWEEP_FIELDS + table_free_fields())))
+    field = data.draw(st.one_of(st.sampled_from(LARGER_SWEEP_FIELDS),
+                                st.sampled_from(SMALL_SWEEP_FIELDS + table_free_fields())))
     f = data.draw(_sweep_polys(field, field.q + 5))
     assert _fields(sweep(f)) == _reference_report(f)
 
@@ -363,6 +366,47 @@ def test_maps_built_around_the_prefix_match_the_pointwise_reference(field, kind,
         assert expected[:2] == (True, False) and expected[3] == (cycle, table[table[cycle]])
         assert table[cycle] >= n
     assert _fields(sweep(f)) == expected
+
+
+def _small_field_maps():
+    """Every map of F_2 to F_5 (3,412), then 500 maps over each of 7, 8,
+    9, 11, 13 and 16 elements: a quarter random maps, a quarter
+    permutations with one value repeated, a quarter random permutations
+    and a quarter involutions, each as the value table it interpolates."""
+    for p, n in [(2, 1), (3, 1), (2, 2), (5, 1)]:
+        field = make_field(p, n)
+        for table in itertools.product(range(field.q), repeat=field.q):
+            yield field, list(table)
+    rng = random.Random(28)
+    for p, n in [(7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]:
+        field = make_field(p, n)
+        q = field.q
+        for i in range(500):
+            if i % 4 == 0:
+                table = [rng.randrange(q) for _ in range(q)]
+            elif i % 4 == 1:
+                table = rng.sample(range(q), q)
+                x, y = rng.sample(range(q), 2)
+                table[x] = table[y]
+            elif i % 4 == 2:
+                table = rng.sample(range(q), q)
+            else:
+                table = _involution_table(rng, q)
+            yield field, table
+
+
+def test_small_field_sweeps_match_the_full_table_check():
+    # small fields take the encoding-order prefix and the log-order pass
+    # of every larger field; the full-table mode of _check_table, which
+    # compositional_inverse keeps, referees them map by map
+    reports = collections.Counter()
+    for field, table in _small_field_maps():
+        f = interpolate_table(field, table)
+        report = sweep(f)
+        assert report == oracle._check_table(field, f.value_table()), (field, table)
+        reports[report.is_permutation, report.is_involution] += 1
+    assert sum(reports.values()) == 3412 + 6 * 500
+    assert all(reports[kind] > 500 for kind in [(False, None), (True, False), (True, True)])
 
 
 def test_an_involution_sweep_evaluates_the_field_once_past_its_prefix(monkeypatch):
