@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     ZeroPolynomial,
 )
-from .families import FAMILIES, FamilySpec, validate
+from .families import FAMILIES
 from .gf import Field, divisors, parse_field
 from .oracle import PermReport, sweep
 from .polyring import DEFAULT_CAP, RhsForm, SparsePoly, bound_subgroup_interpolation, decompose, parse_poly
@@ -291,8 +291,7 @@ def cmd_family(args) -> int:
         raise ParseError("family generation needs --field")
     field = parse_field(args.field)
     params = _parse_params(args.params) if args.params else {}
-    checks = validate(FamilySpec(args.family_id, field, params))
-    rhs, f = FAMILIES[args.family_id].generate(field, params)
+    checks, rhs, f = FAMILIES[args.family_id].generate(field, params)
     rep = _analyze(field, f, args, rhs=rhs, label=f"family: {args.family_id}",
                    checks=checks)
     return _emit(rep, args)

@@ -9,19 +9,20 @@ subfield; the lifting construction turns an involution of a base field
 into one of an extension, its criterion deciding whether the base map was.
 
 Every family is one ``Family`` entry in ``FAMILIES`` at the end of this
-module: its id, parameter help, parameter parsing, validator and
-generator.  ``validate`` and the command line read only that registry, so
-adding a family means adding one entry.
+module: its id, parameter help, parameter parsing, validator and generator
+body, which gates the validator's checks and returns them with the form
+they built.  ``validate`` and the command line read only that registry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from math import gcd
+from math import gcd, log2
 from typing import Callable
 
 from .criterion import check_involution, confirm_involution, first_root
 from .errors import (
+    AlgebraError,
     BaseNotInvolution,
     EvenQNoSolution,
     FieldTooLarge,
@@ -33,8 +34,8 @@ from .errors import (
     UnknownFamily,
     WrongFieldShape,
 )
-from .gf import Element, Field, make_field, subfield_embedding
-from .polyring import DEFAULT_CAP, RhsForm, SparsePoly, parse_poly
+from .gf import ENCODING_LIMIT, Element, Field, make_field, subfield_embedding
+from .polyring import DEFAULT_CAP, RhsForm, SparsePoly, decompose, parse_poly
 
 GEOMETRIC_K_LIMIT = 1 << 12   # the geometric family builds k terms
 
@@ -63,10 +64,11 @@ class ReversalOutcome:
     root: Element | None
 
 
-def _gate(checks: list[ConditionCheck]) -> None:
+def _gate(checks: list[ConditionCheck]) -> list[ConditionCheck]:
+    """checks, once every one passes."""
     bad = [c for c in checks if not c.ok]
     if not bad:
-        return
+        return checks
     root_only = [c for c in bad if c.name.startswith("h-nonzero")]
     if root_only and len(root_only) == len(bad):
         raise HValueZero(bad[0].detail)
@@ -140,39 +142,45 @@ def _cond_conj_symmetric(ext: Field, r: int, coeffs: dict):
     return checks, rhs
 
 
+def _conj_symmetric(ext: Field, r: int, coeffs: dict):
+    checks, rhs = _cond_conj_symmetric(ext, r, coeffs)
+    return _gate(checks), confirm_involution(rhs, "conjugate-symmetric construction failed the criterion")
+
+
 def gen_conj_symmetric(ext: Field, r: int, coeffs: dict) -> RhsForm:
     """Involution x^r * h(x^{q-1}) on F_{q^2} from conjugate-closed h:
     each supplied term h_i x^i brings its partner h_i^q x^{qi}."""
-    checks, rhs = _cond_conj_symmetric(ext, r, coeffs)
-    _gate(checks)
-    return confirm_involution(rhs, "conjugate-symmetric construction failed the criterion")
+    return _conj_symmetric(ext, r, coeffs)[1]
+
+
+def _cor_qb(ext: Field, i: int, b):
+    checks, args = _cond_cor_qb(ext, i, b)
+    return _gate(checks), gen_conj_symmetric(ext, *args)
 
 
 def gen_cor_qb(ext: Field, i: int, b) -> RhsForm:
     """Two-term special case h = b x^i + b^q x^{qi} with r = q^2 - q - 1;
     admissible exactly per the residue class of q and squareness of b."""
-    checks = _cond_cor_qb(ext, i, b)
-    _gate(checks)
-    q = _split_square(ext)
-    return gen_conj_symmetric(ext, q * q - q - 1, {i: ext.element(b)})
+    return _cor_qb(ext, i, b)[1]
 
 
-def _cond_cor_qb(ext: Field, i: int, b) -> list[ConditionCheck]:
+def _cond_cor_qb(ext: Field, i: int, b):
+    """(checks, the conjugate-symmetric (r, {i: b}), None if an early check fails)."""
     checks = []
     try:
         q = _split_square(ext)
     except WrongFieldShape as exc:
-        return [ConditionCheck("field-is-quadratic-extension", False, str(exc))]
+        return [ConditionCheck("field-is-quadratic-extension", False, str(exc))], None
     checks.append(ConditionCheck("field-is-quadratic-extension", True, f"base order {q}"))
     if ext.p == 2:
         checks.append(ConditionCheck("q-odd", False, "even characteristic"))
-        return checks
+        return checks, None
     checks.append(ConditionCheck("q-odd", True))
     checks.append(ConditionCheck("position-in-range", 1 <= i <= q, f"i = {i}"))
     b = ext.element(b)
     checks.append(ConditionCheck("b-nonzero", not b.is_zero))
     if b.is_zero:
-        return checks
+        return checks, None
     is_square = b ** ((ext.q - 1) // 2) == ext.one()
     if q % 4 == 1:
         checks.append(ConditionCheck("residue-square-match", is_square,
@@ -182,7 +190,7 @@ def _cond_cor_qb(ext: Field, i: int, b) -> list[ConditionCheck]:
         checks.append(ConditionCheck("residue-square-match", not is_square,
                                      f"q = 3 mod 4 needs non-square b, b is "
                                      f"{'square' if is_square else 'non-square'}"))
-    return checks
+    return checks, (q * q - q - 1, {i: b})
 
 
 # -- palindromic family over F_{q^m} ----------------------------------------
@@ -245,12 +253,15 @@ def _cond_palindromic(ext: Field, base_q: int, d: int, r: int, coeffs: dict):
     return checks, rhs
 
 
+def _palindromic(ext: Field, base_q: int, d: int, r: int, coeffs: dict):
+    checks, rhs = _cond_palindromic(ext, base_q, d, r, coeffs)
+    return _gate(checks), confirm_involution(rhs, "palindromic construction failed the criterion")
+
+
 def gen_palindromic(ext: Field, base_q: int, d: int, r: int, coeffs: dict) -> RhsForm:
     """Involution x^r * h(x^s) on F_{q^m} from base-subfield coefficients
     mirrored around the pivot e = (r^2-1)/s mod d."""
-    checks, rhs = _cond_palindromic(ext, base_q, d, r, coeffs)
-    _gate(checks)
-    return confirm_involution(rhs, "palindromic construction failed the criterion")
+    return _palindromic(ext, base_q, d, r, coeffs)[1]
 
 
 def _mdq1_args(ext: Field, a, b) -> tuple:
@@ -261,8 +272,7 @@ def _mdq1_args(ext: Field, a, b) -> tuple:
         if k * (2**k - 1) == ext.n:
             q = 2**k
             return q, q - 1, (ext.q - 1) // (q - 1) - 1, {0: b, q - 3: b, q - 2: a}
-    raise WrongFieldShape(
-        f"degree {ext.n} is not k*(2^k - 1) for any k >= 2")
+    raise WrongFieldShape(f"degree {ext.n} is not k*(2^k - 1) for any k >= 2")
 
 
 def gen_cor_mdq1(ext: Field, a, b) -> RhsForm:
@@ -278,16 +288,6 @@ def _m4d4_args(ext: Field, a, b, c) -> tuple:
     return 3 ** (ext.n // 4), 4, ext.q - 2, {3: a, 2: b, 1: a, 0: c}
 
 
-def _cond_palindromic_case(ext: Field, case_args, *values) -> list[ConditionCheck]:
-    """Checks of a palindromic special case whose arguments come from
-    case_args (_mdq1_args or _m4d4_args)."""
-    try:
-        args = case_args(ext, *values)
-    except WrongFieldShape as exc:
-        return [ConditionCheck("base-field-shape", False, str(exc))]
-    return _cond_palindromic(ext, *args)[0]
-
-
 def gen_cor_m4d4(ext: Field, a, b, c) -> RhsForm:
     """h = a x^3 + b x^2 + a x + c over F_{q^4}, q = 3^{2k}, with
     r = q^4 - 2: the palindromic family at m = d = 4."""
@@ -297,6 +297,7 @@ def gen_cor_m4d4(ext: Field, a, b, c) -> RhsForm:
 # -- reversal family over F_{q^2} -------------------------------------------
 
 def _cond_reversal(ext: Field, r: int, deg: int, coeffs: dict):
+    """(checks, the mirrored h, or None when an earlier check fails)."""
     checks = []
     try:
         q = _split_square(ext)
@@ -324,14 +325,16 @@ def _cond_reversal(ext: Field, r: int, deg: int, coeffs: dict):
     return checks, SparsePoly(ext, full)
 
 
+def _reversal(ext: Field, r: int, deg: int, coeffs: dict):
+    checks, h = _cond_reversal(ext, r, deg, coeffs)
+    return _gate(checks), RhsForm(ext, r, _split_square(ext) - 1, h)
+
+
 def gen_reversal(ext: Field, r: int, deg: int, coeffs: dict) -> ReversalOutcome:
     """f = x^r * h(x^{q-1}) with conjugate-mirrored h of degree matching
     r - 1 mod q + 1.  Involution exactly when h misses 0 on mu_{q+1}; a
     root is the returned counterexample, not an error."""
-    checks, h = _cond_reversal(ext, r, deg, coeffs)
-    _gate(checks)
-    q = _split_square(ext)
-    rhs = RhsForm(ext, r, q - 1, h)
+    rhs = _reversal(ext, r, deg, coeffs)[1]
     verdict = check_involution(rhs).verdict   # kept on the form; first_root reads its h values
     return ReversalOutcome(rhs, verdict, None if verdict else first_root(rhs))
 
@@ -360,108 +363,110 @@ def cor_exm_gcd_verdict(ext: Field, a) -> bool:
     return (-(a ** (q - 1))) ** ((q + 1) // g) != ext.one()
 
 
-def _cond_cor_exm(ext: Field, a) -> list[ConditionCheck]:
+def _cond_cor_exm(ext: Field, a):
+    """(checks, f's form if they pass, else gen_cor_exm's refusal)."""
     try:
         q = _split_square(ext)
     except WrongFieldShape as exc:
-        return [ConditionCheck("field-is-quadratic-extension", False, str(exc))]
+        return [ConditionCheck("field-is-quadratic-extension", False, str(exc))], exc
     checks = [ConditionCheck("field-is-quadratic-extension", True, f"base order {q}")]
     if ext.p == 2:
-        checks.append(ConditionCheck("admissible-a-exists", False,
-                                     "no choice of a works in even characteristic"))
-        return checks
+        none_works = "no choice of a works in even characteristic"
+        checks.append(ConditionCheck("admissible-a-exists", False, none_works))
+        return checks, EvenQNoSolution(none_works)
     a = ext.element(a)
     checks.append(ConditionCheck("a-nonzero", not a.is_zero))
     if a.is_zero:
-        return checks
-    checks.append(ConditionCheck("residue-class-test", cor_exm_case_verdict(ext, a),
-                                 f"q = {q} mod 8 is {q % 8}"))
-    return checks
+        return checks, PreconditionViolated("a must be nonzero")
+    ok = cor_exm_case_verdict(ext, a)
+    checks.append(ConditionCheck("residue-class-test", ok, f"q = {q} mod 8 is {q % 8}"))
+    if not ok:
+        return checks, PreconditionViolated(f"a = {a} fails the residue-class test for q = {q}")
+    return checks, RhsForm(ext, q - 2, q - 1, SparsePoly.from_pairs(ext, [(q - 3, a), (0, a**q)]))
+
+
+def _cor_exm(ext: Field, a):
+    checks, built = _cond_cor_exm(ext, a)
+    if isinstance(built, AlgebraError):
+        raise built
+    return checks, confirm_involution(built, "admissible a produced a non-involution")
 
 
 def gen_cor_exm(ext: Field, a) -> RhsForm:
     """f = a x^{q^2-3q+1} + a^q x^{q-2}, the reversal family with
     h = a x^{q-3} + a^q, admissible per the residue-class test."""
-    q = _split_square(ext)
-    if ext.p == 2:
-        raise EvenQNoSolution("no choice of a works in even characteristic")
-    a = ext.element(a)
-    if a.is_zero:
-        raise PreconditionViolated("a must be nonzero")
-    if not cor_exm_case_verdict(ext, a):
-        raise PreconditionViolated(f"a = {a} fails the residue-class test for q = {q}")
-    h = SparsePoly.from_pairs(ext, [(q - 3, a), (0, a**q)])
-    return confirm_involution(RhsForm(ext, q - 2, q - 1, h),
-                              "admissible a produced a non-involution")
+    return _cor_exm(ext, a)[1]
 
 
 # -- geometric family over F_{q^m}, m even ----------------------------------
 
-def _cond_geometric(ext: Field, base_q: int, d: int, m: int, k: int) -> list[ConditionCheck]:
+def _cond_geometric(ext: Field, base_q: int, d: int, m: int, k: int):
+    """(checks, s = (q^m - 1)/d, or None when an earlier check fails)."""
     checks = []
     try:
         j = _base_degree(base_q, ext.p)
     except WrongFieldShape as exc:
-        return [ConditionCheck("base-field-shape", False, str(exc))]
+        return [ConditionCheck("base-field-shape", False, str(exc))], None
     shape_ok = m >= 2 and m % 2 == 0 and ext.n == j * m
     checks.append(ConditionCheck("base-field-shape", shape_ok,
                                  f"need field order {base_q}^{m} with m even, field is {ext.p}^{ext.n}"))
     if not shape_ok:
-        return checks
+        return checks, None
     d_ok = d >= 1 and (base_q + 1) % d == 0
     checks.append(ConditionCheck("d-divides-q-plus-1", d_ok, f"q = {base_q}, d = {d}"))
     checks.append(ConditionCheck("k-positive", k >= 1, f"k = {k}"))
     if not (d_ok and k >= 1):
-        return checks
-    half = m // 2
-    num = half * (base_q * base_q - 1)
+        return checks, None
+    num = m // 2 * (base_q * base_q - 1)
     integral = num % (2 * d) == 0
     checks.append(ConditionCheck("inner-quotient-integral", integral,
                                  f"(m/2)(q^2-1)/(2d) = {num}/{2 * d}"))
     if not integral:
-        return checks
+        return checks, None
     big = num // (2 * d) - 1
     c1 = (k - 1) * gcd(k + 1, big) % d == 0
     checks.append(ConditionCheck("degree-congruence", c1,
                                  f"(k-1)*gcd(k+1, {big}) mod {d}"))
     checks.append(ConditionCheck("k-squared-unit", (k * k - 1) % ext.p == 0,
                                  f"k^2 mod {ext.p}"))
-    return checks
+    return checks, (ext.q - 1) // d
+
+
+def _geometric(ext: Field, base_q: int, d: int, m: int, k: int):
+    """(checks, the form of f as decompose() writes it, confirmed, f)."""
+    if k > GEOMETRIC_K_LIMIT:
+        raise Overflow(f"k = {k} exceeds the geometric family's limit of {GEOMETRIC_K_LIMIT}")
+    checks, s = _cond_geometric(ext, base_q, d, m, k)
+    _gate(checks)
+    f = SparsePoly.from_pairs(ext, [(1 + i * s, ext.one()) for i in range(k)])
+    return checks, confirm_involution(decompose(f), "geometric construction failed the criterion"), f
 
 
 def gen_geometric(ext: Field, base_q: int, d: int, m: int, k: int) -> SparsePoly:
     """f = x(1 + x^s + ... + x^{(k-1)s}) on the even extension F_{q^m},
     with s = (q^m - 1)/d and q = -1 mod d."""
-    if k > GEOMETRIC_K_LIMIT:
-        raise Overflow(f"k = {k} exceeds the geometric family's limit of {GEOMETRIC_K_LIMIT}")
-    checks = _cond_geometric(ext, base_q, d, m, k)
-    _gate(checks)
-    s = (ext.q - 1) // d
-    one = ext.one()
-    f = SparsePoly.from_pairs(ext, [(1 + i * s, one) for i in range(k)])
-    h = SparsePoly.from_pairs(ext, [(i, one) for i in range(k)])
-    confirm_involution(RhsForm(ext, 1, s, h), "geometric construction failed the criterion")
-    return f
+    return _geometric(ext, base_q, d, m, k)[2]
 
 
 # -- subfield lifting ---------------------------------------------------------
 
-def _cond_lift(ext: Field, base_q: int, m: int, r: int) -> list[ConditionCheck]:
+def _cond_lift(ext: Field, base_q: int, m: int, r: int):
+    """(checks, s = (q^m - 1)/(q - 1), None on a misshapen field)."""
     try:
         j = _base_degree(base_q, ext.p)
     except WrongFieldShape as exc:
-        return [ConditionCheck("base-field-shape", False, str(exc))]
+        return [ConditionCheck("base-field-shape", False, str(exc))], None
     shape_ok = ext.n == j * m
     checks = [ConditionCheck("base-field-shape", shape_ok,
                              f"field degree {ext.n} vs {j}*{m}")]
     if not shape_ok:
-        return checks
+        return checks, None
     checks.append(ConditionCheck("m-coprime-to-group-order", gcd(base_q - 1, m) == 1,
                                  f"gcd({base_q - 1}, {m})"))
     s = (base_q**m - 1) // (base_q - 1)
     checks.append(ConditionCheck("r-squared-is-one", (r * r - 1) % s == 0,
                                  f"r = {r}, s = {s}"))
-    return checks
+    return checks, s
 
 
 def lift_involution(base: Field, m: int, r: int, h: SparsePoly,
@@ -476,6 +481,8 @@ def lift_involution(base: Field, m: int, r: int, h: SparsePoly,
         raise PreconditionViolated(f"gcd(q-1, m) = {gcd(base.q - 1, m)} must be 1")
     if r < 1:
         raise PreconditionViolated(f"r = {r} must be positive")
+    if base.n * m * log2(base.p) > log2(ENCODING_LIMIT) + 1:   # make_field's bound, before q**m
+        raise Overflow(f"q = {base.p}^{base.n * m} exceeds the {ENCODING_LIMIT} encoding limit")
     s = (base.q**m - 1) // (base.q - 1)
     if (r * r - 1) % s:
         raise RSquareCondition(f"r = {r}: r^2 - 1 not divisible by s = {s}")
@@ -495,6 +502,16 @@ def lift_involution(base: Field, m: int, r: int, h: SparsePoly,
     return rhs
 
 
+def _lift(ext: Field, base_q: int, m: int, r: int, h: str | None):
+    if h is None:
+        raise ParseError("lift needs h=<poly over the base field>")
+    checks, _ = _cond_lift(ext, base_q, m, r)
+    if not checks[0].ok:
+        raise WrongFieldShape(f"field {ext.spec_string()} is not a degree-{m} extension of F_{base_q}")
+    base = make_field(ext.p, ext.n // m)
+    return checks, lift_involution(base, m, r, parse_poly(base, h), ext)
+
+
 # -- the family registry ----------------------------------------------------
 
 def _int_param(params: dict, name: str) -> int:
@@ -505,94 +522,78 @@ def _int_param(params: dict, name: str) -> int:
 
 
 def _coeff_map(params: dict, prefix: str) -> dict:
-    out = {}
-    for key, val in params.items():
-        if key.startswith(prefix) and key[len(prefix):].isdigit():
-            out[int(key[len(prefix):])] = val
-    return out
-
-
-def _build_lift(ext: Field, base_q: int, m: int, r: int, h: str | None) -> RhsForm:
-    if h is None:
-        raise ParseError("lift needs h=<poly over the base field>")
-    if not _cond_lift(ext, base_q, m, r)[0].ok:
-        raise WrongFieldShape(
-            f"field {ext.spec_string()} is not a degree-{m} extension of F_{base_q}")
-    base = make_field(ext.p, ext.n // m)
-    return lift_involution(base, m, r, parse_poly(base, h), ext)
+    return {int(key[len(prefix):]): val for key, val in params.items()
+            if key.startswith(prefix) and key[len(prefix):].isdigit()}
 
 
 @dataclass(frozen=True)
 class Family:
-    """One named family.  Its key=value parameters become positional
-    arguments in this order: ``ints`` as integers, ``elements`` and
-    ``optional`` as text (None when an optional one is absent), then the
-    ``coeffs``<i> entries as a position -> text map.  ``check`` and
-    ``build`` take the field followed by those arguments; ``build`` returns
-    an RhsForm, or a SparsePoly for a family without one."""
+    """One named family.  Its key=value parameters become arguments after
+    the field: ``ints`` as integers, ``elements`` as text, the ``coeffs``<i>
+    as a position -> text map; a special ``case`` maps them to its family's
+    (WrongFieldShape on a misshapen field).  ``check`` returns (checks, what
+    they built); ``build`` also takes the ``optional`` ones as text (None
+    when absent) and returns (checks, form[, f when not form's expansion])."""
 
     id: str
     params: str
-    check: Callable[..., list[ConditionCheck]]
-    build: Callable[..., RhsForm | SparsePoly]
+    check: Callable[..., tuple[list[ConditionCheck], object]]
+    build: Callable[..., tuple]
     ints: tuple[str, ...] = ()
     elements: tuple[str, ...] = ()
     optional: tuple[str, ...] = ()
     coeffs: str | None = None
+    case: Callable[..., tuple] | None = None
 
-    def args(self, params: dict) -> list:
+    def args(self, field: Field, params: dict):
         missing = [k for k in self.ints + self.elements if k not in params]
         if missing:
             raise ParseError(f"missing parameters: {', '.join(missing)}")
         args = [_int_param(params, k) for k in self.ints]
         args += [params[k] for k in self.elements]
-        args += [params.get(k) for k in self.optional]
         if self.coeffs:
             args.append(_coeff_map(params, self.coeffs))
-        return args
+        return self.case(field, *args) if self.case else args
 
-    def generate(self, field: Field, params: dict) -> tuple[RhsForm | None, SparsePoly]:
-        """The index form (None if the family has none) and the polynomial."""
-        out = self.build(field, *self.args(params))
-        if isinstance(out, SparsePoly):
-            return None, out
-        return out, out.expand()
+    def generate(self, field: Field, params: dict) -> tuple[list[ConditionCheck], RhsForm, SparsePoly]:
+        """The checks, each evaluated once, their confirmed form and f."""
+        checks, rhs, *raw = self.build(field, *self.args(field, params),
+                                       *(params.get(k) for k in self.optional))
+        return checks, rhs, raw[0] if raw else rhs.expand()
 
 
-# The builders call gen_* by module-global name, so that rebinding one (as
-# a call tracer does) reaches the registry too.
-FAMILIES = {fam.id: fam for fam in (
+class _Registry(dict):
+    def __missing__(self, family_id):
+        raise UnknownFamily(f"no family named {family_id!r}")
+
+
+FAMILIES = _Registry((fam.id, fam) for fam in (
     Family("thm-conj-symmetric", "r=<int>, h<i>=<element> for admissible positions i",
-           lambda *a: _cond_conj_symmetric(*a)[0], lambda *a: gen_conj_symmetric(*a),
-           ints=("r",), coeffs="h"),
+           _cond_conj_symmetric, _conj_symmetric, ints=("r",), coeffs="h"),
     Family("cor-qb", "i=<1..q>, b=<element>",
-           _cond_cor_qb, lambda *a: gen_cor_qb(*a), ints=("i",), elements=("b",)),
+           _cond_cor_qb, _cor_qb, ints=("i",), elements=("b",)),
     Family("thm-palindromic", "q=<base order>, d=<int>, r=<int>, h<i>=<element>",
-           lambda *a: _cond_palindromic(*a)[0], lambda *a: gen_palindromic(*a),
-           ints=("q", "d", "r"), coeffs="h"),
+           _cond_palindromic, _palindromic, ints=("q", "d", "r"), coeffs="h"),
     Family("cor-mdq1", "a=<element>, b=<element> (both in the base subfield)",
-           lambda f, *v: _cond_palindromic_case(f, _mdq1_args, *v),
-           lambda *a: gen_cor_mdq1(*a), elements=("a", "b")),
+           _cond_palindromic, _palindromic, elements=("a", "b"), case=_mdq1_args),
     Family("cor-m4d4", "a=<element>, b=<element>, c=<element> (all in the base subfield)",
-           lambda f, *v: _cond_palindromic_case(f, _m4d4_args, *v),
-           lambda *a: gen_cor_m4d4(*a), elements=("a", "b", "c")),
+           _cond_palindromic, _palindromic, elements=("a", "b", "c"), case=_m4d4_args),
     Family("thm-reversal", "r=<int>, d=<degree>, a<i>=<element>",
-           lambda *a: _cond_reversal(*a)[0], lambda *a: gen_reversal(*a).rhs,
-           ints=("r", "d"), coeffs="a"),
-    Family("cor-exm", "a=<element>", _cond_cor_exm, lambda *a: gen_cor_exm(*a),
-           elements=("a",)),
+           _cond_reversal, _reversal, ints=("r", "d"), coeffs="a"),
+    Family("cor-exm", "a=<element>", _cond_cor_exm, _cor_exm, elements=("a",)),
     Family("thm-geometric", "q=<base order>, d=<int>, m=<even extension degree>, k=<int>",
-           _cond_geometric, lambda *a: gen_geometric(*a), ints=("q", "d", "m", "k")),
+           _cond_geometric, _geometric, ints=("q", "d", "m", "k")),
     Family("lift", "q=<base order>, m=<int>, r=<int>, h=<poly over the base field>",
-           lambda f, q, m, r, h: _cond_lift(f, q, m, r), _build_lift,
-           ints=("q", "m", "r"), optional=("h",)),
-)}
+           _cond_lift, _lift, ints=("q", "m", "r"), optional=("h",)),
+))
 FAMILY_IDS = tuple(FAMILIES)
 
 
 def validate(spec: FamilySpec) -> list[ConditionCheck]:
     """Evaluate every hypothesis of the named family on the parameters."""
-    fam = FAMILIES.get(spec.family_id)
-    if fam is None:
-        raise UnknownFamily(f"no family named {spec.family_id!r}")
-    return fam.check(spec.field, *fam.args(spec.params))
+    fam = FAMILIES[spec.family_id]
+    try:
+        args = fam.args(spec.field, spec.params)
+    except WrongFieldShape as exc:   # a special case on a field of the wrong shape
+        return [ConditionCheck("base-field-shape", False, str(exc))]
+    return fam.check(spec.field, *args)[0]

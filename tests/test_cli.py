@@ -3,11 +3,14 @@ JSON documents, and the exit code contract."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
+import importlib.util
 import inspect
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invopoly import cli, criterion, errors
+from invopoly import cli, criterion, errors, families
 from invopoly.families import FAMILIES
 
 GOLDENS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "cli_goldens.json")
@@ -556,15 +559,67 @@ def test_one_walk_per_decided_run(argv, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["family", "thm-conj-symmetric", "--field", "5^2", "--params", "r=19,h1=1"],
     ["family", "thm-palindromic", "--field", "2^6", "--params", "q=4,d=3,r=62,h0=1"],
+    ["family", "cor-qb", "--field", "5^2", "--params", "i=1,b=a^2"],
+    ["family", "cor-mdq1", "--field", "2^6", "--params", "a=a^21,b=a^42"],
+    ["family", "cor-m4d4", "--field", "3^8", "--params", "a=a^820,b=1,c=a^1640"],
+    ["family", "thm-reversal", "--field", "5^2", "--params", "r=3,d=2,a0=7,a1=1"],
+    ["family", "cor-exm", "--field", "5^2", "--params", "a=a^0"],
+    ["family", "thm-geometric", "--field", "3^8", "--params", "q=9,d=5,m=4,k=4"],
+    ["family", "thm-geometric", "--field", "3^8", "--params", "q=9,d=5,m=4,k=1"],
+    ["family", "lift", "--field", "3^6", "--params", "q=9,m=3,r=90,h=x"],
 ])
 def test_a_family_confirms_the_form_its_checks_walked(argv, monkeypatch):
-    # the command line validates once and the generator checks again; the
-    # generator confirms the very form its own root check walked, so the run
-    # builds two walks over mu_d, not one per root check plus the criterion's
-    built = []
+    # the family's checks run once, and the criterion confirms the very form
+    # they built (the form the command line prints): one walk over mu_d and
+    # one phi walk per run
+    built, phi_walks, cond_runs = [], [], []
     Walk = criterion._Walk
     monkeypatch.setattr(criterion, "_Walk", lambda *args: built.append(args) or Walk(*args))
+    phi = Walk.first_phi_failure
+    monkeypatch.setattr(Walk, "first_phi_failure", lambda walk: phi_walks.append(walk) or phi(walk))
+    # the family's validator, counted under its module name and in the
+    # registry entry alike
+    fam = families.FAMILIES[argv[1]]
+    cond = fam.check.__name__
+    check = getattr(families, cond)
+
+    def counting(*args):
+        cond_runs.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(families, cond, counting)
+    monkeypatch.setitem(families.FAMILIES, fam.id, dataclasses.replace(fam, check=counting))
     rc, out, err = _in_process(argv)
     assert rc == 0, err
     assert "criterion: true\npermutation: true\n" in out
-    assert len(built) == 2
+    assert (len(built), len(phi_walks), len(cond_runs)) == (1, 1, 1)
+
+
+WORKLOADS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+FAMILY_CORPUS_SHA256 = "93b1eea76a6ec400aaf2840dd3512e683bb5d9885d76abe6b9618a31c81e6584"
+
+
+def _family_corpus() -> list[list[str]]:
+    """Every family row of the benchmark's construct rounds for 40 seeds,
+    the geometric family at k = 1, 6 and 11 over 3^8, and three input
+    errors, each in text and --json."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads   # dataclasses resolve their module by name
+    spec.loader.exec_module(workloads)
+    runs = {("family", fid, "--field", key, "--params", ",".join(f"{k}={v}" for k, v in params.items()))
+            for seed in range(40) for fid, key, params, _ in workloads._family_slots(random.Random(seed))}
+    runs |= {("family", "thm-geometric", "--field", "3^8", "--params", f"q=9,d=5,m=4,k={k}")
+             for k in (1, 6, 11)}
+    runs |= {("family", "cor-qb", "--field", "5^2", "--params", "i=1"),
+             ("family", "nope", "--field", "7"),
+             ("family", "lift", "--field", "3^6", "--params", "q=9,m=3,r=90")}
+    return [[*argv, *tail] for argv in sorted(runs) for tail in ((), ("--json",))]
+
+
+def test_family_corpus_replays():
+    # argv, exit code, stdout and stderr of every run, byte for byte
+    digest = hashlib.sha256()
+    for argv in _family_corpus():
+        digest.update(json.dumps([argv, *_in_process(argv)]).encode() + b"\n")
+    assert digest.hexdigest() == FAMILY_CORPUS_SHA256

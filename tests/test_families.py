@@ -135,7 +135,7 @@ def test_cor_qb_sufficient_not_necessary(f9, f25):
         for i in range(1, q + 1):
             for benc in range(1, ext.q):
                 b = ext.element(benc)
-                ok = all(c.ok for c in _cond_cor_qb(ext, i, b))
+                ok = all(c.ok for c in _cond_cor_qb(ext, i, b)[0])
                 h = SparsePoly.from_pairs(
                     ext, [(i % (q + 1), b), (q * i % (q + 1), b ** q)])
                 inv = (not h.is_zero
@@ -327,7 +327,7 @@ def test_geometric_frozen_instance(f3_8):
 def test_geometric_term_count_scan(f81):
     valid = []
     for k in range(1, 21):
-        if not all(c.ok for c in _cond_geometric(f81, 3, 4, 4, k)):
+        if not all(c.ok for c in _cond_geometric(f81, 3, 4, 4, k)[0]):
             continue
         valid.append(k)
         assert _is_involution(gen_geometric(f81, 3, 4, 4, k))
@@ -393,6 +393,17 @@ def test_lift_rejections(f4, f9, f16, f64):
         lift_involution(f9, 3, 1, h9, ext=f64)
     with pytest.raises(WrongFieldShape):
         lift_involution(f9, 3, 1, h1)
+
+
+@pytest.mark.parametrize("m", [10**7 + 1, 10**9 + 1])   # both coprime to q - 1 = 2
+def test_lift_degree_bounded_before_q_to_the_m(f3, m):
+    # make_field's encoding limit refuses F_{3^m} before s = (3^m - 1)/2,
+    # whose cost grows with m without limit
+    h = SparsePoly.from_pairs(f3, [(1, f3.one())])
+    start = time.perf_counter()
+    with pytest.raises(Overflow, match="encoding limit"):
+        lift_involution(f3, m, 1, h)
+    assert time.perf_counter() - start < 0.1
 
 
 def _lift_hits(base, m, ext, rs) -> list:
@@ -493,8 +504,9 @@ def test_validate_each_family(f25, f64, f9, f3_8, f3_6):
     for fid, fld, params in cases:
         checks = validate(FamilySpec(fid, fld, params))
         assert checks and all(c.ok for c in checks), fid
-        rhs, f = FAMILIES[fid].generate(fld, params)
-        assert rhs is None or rhs.expand() == f, fid
+        got, rhs, f = FAMILIES[fid].generate(fld, params)
+        assert got == checks, fid
+        assert rhs.expand() == f, fid
         assert _is_involution(f), fid
 
 
